@@ -21,10 +21,8 @@ could deliver is not demanded.
 Two further scenarios ride along:
 
 - **dispatch overhead** — repeated tiny ``map_workitems`` batches
-  against a fork-per-call ``ProcessesBackend(persistent=False)`` vs the
-  persistent warm pool.  The warm pool must cut per-call dispatch
-  overhead by >= 5x (enforced in full mode; the work itself is
-  negligible, so the per-call wall time *is* the dispatch cost).
+  against the persistent warm pool, reported per call (the work itself
+  is negligible, so the per-call wall time *is* the dispatch cost).
 - **calibrated strong scaling** — a measured ``processes`` run under
   the profiling sink feeds
   :func:`repro.runtime.simulator.calibrate_from_counters` (per-item
@@ -70,8 +68,6 @@ GATE_SPEEDUP = 1.8
 GATE_WORKERS = 4
 GATE_MIN_TRIANGLES = 50_000
 
-#: warm pool must cut per-call dispatch overhead by this factor.
-DISPATCH_GATE = 5.0
 DISPATCH_BATCHES = 12
 DISPATCH_ITEMS = 4
 
@@ -122,43 +118,31 @@ def _echo(payload):
 
 
 def measure_dispatch_overhead(workers: int) -> dict:
-    """Per-call overhead of fork-per-call vs the persistent warm pool."""
+    """Per-call dispatch overhead of the persistent warm pool."""
     payloads = [{"x": np.full(8, float(i))} for i in range(DISPATCH_ITEMS)]
 
-    def per_call(backend) -> float:
+    backend = executor.ProcessesBackend()
+    try:
         backend.map_workitems(_echo, payloads, n_ranks=workers)  # warmup
         t0 = time.perf_counter()
         for _ in range(DISPATCH_BATCHES):
             backend.map_workitems(_echo, payloads, n_ranks=workers)
-        return (time.perf_counter() - t0) / DISPATCH_BATCHES
-
-    cold = executor.ProcessesBackend(persistent=False)
-    warm = executor.ProcessesBackend(persistent=True)
-    try:
-        cold_s = per_call(cold)
-        warm_s = per_call(warm)
+        warm_s = (time.perf_counter() - t0) / DISPATCH_BATCHES
     finally:
-        warm.shutdown_pool()
-    ratio = cold_s / warm_s if warm_s > 0 else float("inf")
+        backend.shutdown_pool()
     print(f"  dispatch overhead per map_workitems call "
           f"({DISPATCH_ITEMS} items, {workers} ranks):")
-    print(f"    fork-per-call {cold_s * 1e3:8.2f} ms")
-    print(f"    warm pool     {warm_s * 1e3:8.2f} ms   ({ratio:.1f}x less)")
-    return {"fork_per_call_s": round(cold_s, 5),
-            "warm_pool_s": round(warm_s, 5),
-            "ratio": round(ratio, 2)}
+    print(f"    warm pool     {warm_s * 1e3:8.2f} ms")
+    return {"warm_pool_s": round(warm_s, 5)}
 
 
 def calibrated_strong_scaling(pslg, config, workers: int) -> dict:
     """Measure a processes run, calibrate the simulator, replay Fig. 11."""
     # Lower the shm threshold so even smoke-size payloads travel through
     # shared memory in both directions, producing (nbytes, seconds) fit
-    # samples for the network model; force the warm pool on — the
-    # fork-per-call path records no per-item samples.
+    # samples for the network model.
     saved_threshold = serde.SHM_MIN_BYTES
-    saved_pool = os.environ.get(executor.POOL_ENV)
     serde.SHM_MIN_BYTES = 2048
-    os.environ[executor.POOL_ENV] = "1"
     registry_backend = executor.get_backend("processes")
     # Workers inherit the shm threshold at fork time: cycle any pool the
     # earlier scenarios warmed up so its workers re-fork with the
@@ -170,10 +154,6 @@ def calibrated_strong_scaling(pslg, config, workers: int) -> dict:
                           n_ranks=workers)
     finally:
         serde.SHM_MIN_BYTES = saved_threshold
-        if saved_pool is None:
-            os.environ.pop(executor.POOL_ENV, None)
-        else:
-            os.environ[executor.POOL_ENV] = saved_pool
         registry_backend.shutdown_pool()
 
     tasks, simcfg = calibrate_from_counters(sink)
@@ -282,16 +262,6 @@ def main(argv=None) -> int:
     # ------------------------------------------------------------------
     dispatch = measure_dispatch_overhead(args.workers)
     extras_enforced = not args.smoke and not args.no_check
-    if extras_enforced:
-        if dispatch["ratio"] >= DISPATCH_GATE:
-            print(f"PASS: warm pool cuts dispatch overhead "
-                  f"{dispatch['ratio']:.1f}x >= {DISPATCH_GATE}x")
-        else:
-            print(f"FAIL: warm pool dispatch-overhead reduction "
-                  f"{dispatch['ratio']:.1f}x < {DISPATCH_GATE}x")
-            ok = False
-    else:
-        print("dispatch gate reported only (smoke/no-check)")
 
     # ------------------------------------------------------------------
     # Scenario 3: calibrated Figs. 11-12 strong-scaling replay.
@@ -338,11 +308,7 @@ def main(argv=None) -> int:
             "enforced": bool(gate_enforced),
             "passed": gate_passed,
         },
-        "dispatch_overhead": {
-            **dispatch,
-            "threshold": DISPATCH_GATE,
-            "enforced": bool(extras_enforced),
-        },
+        "dispatch_overhead": dispatch,
         "calibrated_scaling": {
             **sim,
             "gate_s16": SIM_GATE_S16,

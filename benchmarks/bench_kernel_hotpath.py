@@ -26,17 +26,6 @@ Two scenarios on a 10k-point uniform-random workload:
     ``multiprocessing.shared_memory`` segment (the processes backend's
     >= 64 KiB path) vs a pickle round trip of the same buffers.
 
-``batch-insert``
-    ``triangulate()`` under the ``batch`` insertion strategy (BRIO
-    windows binned by bucket, independent cavity sets committed with
-    one vectorised retriangulation pass) vs the ``scalar`` strategy on
-    the same bulk cloud.  The batch planner amortises per-level numpy
-    dispatch over sub-batch size, so this scenario uses a larger cloud
-    (``--batch-n``, default 40k — the windowed regime the pipeline's
-    bulk CDT stage actually sees).  The >= 1.5x acceptance criterion is
-    checked here at full size (smoke runs exercise both strategies but
-    skip the gate: tiny clouds never fill the batch windows).
-
 The seed baseline is the kernel source at the repository's root commit,
 extracted via ``git show`` at runtime (no vendored copy to drift).  All
 timings are interleaved best-of-N to blunt machine noise.  The fast
@@ -166,10 +155,6 @@ def main(argv=None) -> int:
                     help="CI smoke: 4000 points, 2 reps")
     ap.add_argument("--smoke", action="store_true",
                     help="alias for --quick (matches the other benches)")
-    ap.add_argument("--batch-n", type=int, default=40_000,
-                    help="batch-insert scenario point count (default"
-                         " 40000: large enough to fill the 8192-point"
-                         " BRIO windows the batch planner batches over)")
     ap.add_argument("--no-check", action="store_true",
                     help="report only; skip the acceptance assertions")
     ap.add_argument("--target-tris", type=int, default=61_000,
@@ -184,7 +169,6 @@ def main(argv=None) -> int:
         args.n = min(args.n, 4000)
         args.reps = min(args.reps, 2)
         args.target_tris = min(args.target_tris, 12_000)
-        args.batch_n = min(args.batch_n, 4000)
 
     rng = np.random.default_rng(42)
     pts = rng.random((args.n, 2))
@@ -201,7 +185,6 @@ def main(argv=None) -> int:
         key = (scenario, variant)
         scenarios[key] = min(scenarios.get(key, float("inf")), dt)
 
-    batch_pts = np.random.default_rng(0xBA7C4).random((args.batch_n, 2))
     for _ in range(args.reps):
         record("insert-loop", "fast",
                time_call(lambda: insert_loop(K, coords, fast=True)))
@@ -214,12 +197,6 @@ def main(argv=None) -> int:
                    time_call(lambda: insert_loop(seed_mod, coords)))
             record("triangulate", "seed",
                    time_call(lambda: seed_mod.triangulate(pts)))
-        record("batch-insert", "scalar",
-               time_call(lambda: K.triangulate(batch_pts,
-                                               strategy="scalar")))
-        record("batch-insert", "batch",
-               time_call(lambda: K.triangulate(batch_pts,
-                                               strategy="batch")))
 
     # Finalize + transport on the NACA 0012 case (one triangulation,
     # timed repeatedly — to_mesh does not mutate kernel state).
@@ -235,14 +212,10 @@ def main(argv=None) -> int:
         record("transport", "pickle", time_call(
             lambda: serde.unpack_mesh(pickle.loads(pickle.dumps(buffers)))))
 
-    # Counters from one instrumented fast run of each scenario — the
-    # batch-strategy run included, so the exact-escalation gate below
-    # covers the vectorised predicate batches too.
+    # Counters from one instrumented fast run of each scenario.
     kc = KernelCounters()
     kc.absorb(insert_loop(K, coords, fast=True))
     kc.absorb(K.triangulate(pts))
-    batch_tri = K.triangulate(batch_pts, strategy="batch")
-    kc.absorb(batch_tri)
     kc.absorb(naca)
 
     print(f"\n=== kernel hot path — {args.n} uniform-random points, "
@@ -266,12 +239,6 @@ def main(argv=None) -> int:
     tr_pkl = scenarios[("transport", "pickle")]
     print(f"  {'transport':<{w}}  shm  {tr_shm:7.3f}s  "
           f"pickle {tr_pkl:7.3f}s  ({shm_bytes} bytes)")
-    bat = scenarios[("batch-insert", "batch")]
-    sca = scenarios[("batch-insert", "scalar")]
-    print(f"  {'batch-insert':<{w}}  batch {bat:6.3f}s  "
-          f"scalar {sca:6.3f}s  speedup {sca / bat:5.2f}x  "
-          f"({args.batch_n} points, {batch_tri.stat_batch_points} "
-          f"batch-committed, {batch_tri.stat_conflict_retries} retries)")
     print("\nfast-kernel counters:")
     print(kc.report())
 
@@ -287,21 +254,6 @@ def main(argv=None) -> int:
         else:
             print(f"PASS: insert-loop speedup {speedup:.2f}x >= 2x")
     if not args.no_check:
-        batch_speedup = sca / bat
-        checks["batch_insert_speedup_vs_scalar"] = round(batch_speedup, 2)
-        if args.quick:
-            # Smoke clouds never fill the batch windows; the scenario
-            # still exercises both strategies but the gate only means
-            # something at full size.
-            print(f"note: batch-insert speedup {batch_speedup:.2f}x "
-                  f"(gate skipped under --smoke/--quick)")
-        elif batch_speedup < 1.5:
-            print(f"FAIL: batch-insert speedup {batch_speedup:.2f}x "
-                  f"< 1.5x")
-            ok = False
-        else:
-            print(f"PASS: batch-insert speedup {batch_speedup:.2f}x "
-                  f">= 1.5x")
         fin_speedup = fin_loop / fin_fast
         checks["finalize_speedup_vs_loop"] = round(fin_speedup, 2)
         if fin_speedup < 10.0:
@@ -321,11 +273,7 @@ def main(argv=None) -> int:
         "case": {"n_points": args.n, "reps": args.reps,
                  "quick": bool(args.quick),
                  "finalize_case": "naca0012",
-                 "finalize_n_triangles": n_naca_tris,
-                 "batch_n_points": args.batch_n,
-                 "batch_points_committed": batch_tri.stat_batch_points,
-                 "batch_conflict_retries":
-                     batch_tri.stat_conflict_retries},
+                 "finalize_n_triangles": n_naca_tris},
         "seconds": {
             f"{scenario}/{variant}": round(dt, 6)
             for (scenario, variant), dt in sorted(scenarios.items())

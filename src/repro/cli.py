@@ -31,7 +31,6 @@ import numpy as np
 
 from .core.bl_pipeline import BoundaryLayerConfig
 from .core.pipeline import MeshConfig, generate_mesh
-from .delaunay import cavity as insertion
 from .geometry.airfoils import naca4, three_element_airfoil
 from .geometry.pslg import PSLG
 from .io.meshio import read_poly, write_mesh_ascii, write_mesh_npz
@@ -92,12 +91,6 @@ def _add_backend_argument(p: argparse.ArgumentParser) -> None:
                    help="refinement executor (default: $REPRO_BACKEND or "
                    "local); 'threads' models the paper's MPI ranks but is "
                    "GIL-bound, 'processes' runs GIL-free workers")
-    p.add_argument("--insert-strategy",
-                   choices=insertion.available_strategies(), default=None,
-                   help="Delaunay cavity-engine insertion strategy "
-                   "(default: $REPRO_INSERT or scalar); 'batch' bins "
-                   "BRIO rounds and inserts independent cavity sets "
-                   "through vectorised predicates")
 
 
 def _add_address_arguments(p: argparse.ArgumentParser) -> None:
@@ -123,14 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=None,
                    help="worker count for the parallel backends "
                    "(default 4); rejected with --backend local/serial")
-    p.add_argument("--no-stream", action="store_true",
-                   help="disable streamed decompose->refine dispatch "
-                   "(equivalent to REPRO_STREAM=0): decouple fully, then "
-                   "refine; the mesh is byte-identical either way")
-    p.add_argument("--no-warm-pool", action="store_true",
-                   help="disable the persistent worker pool of the "
-                   "processes backend (equivalent to REPRO_POOL=0): fork "
-                   "workers per dispatch instead of reusing them")
     p.add_argument("--pool-ttl", type=float, metavar="SECONDS", default=None,
                    help="idle worker time-to-live for the persistent pool "
                    f"(default {executor.DEFAULT_POOL_TTL:.0f}s; equivalent "
@@ -263,6 +248,16 @@ def _load_geometry(args: argparse.Namespace) -> PSLG:
     return pslg
 
 
+def _load_geometry_or_exit(parser: argparse.ArgumentParser,
+                           args: argparse.Namespace) -> PSLG:
+    """:func:`_load_geometry`, turning invalid geometry into a one-line
+    parser error (exit 2) instead of a traceback."""
+    try:
+        return _load_geometry(args)
+    except ValueError as exc:
+        parser.error(f"invalid geometry: {exc}")
+
+
 def _config_from_args(args: argparse.Namespace) -> MeshConfig:
     return MeshConfig(
         bl=BoundaryLayerConfig(
@@ -362,11 +357,6 @@ def _serve_main(argv) -> int:
         parser.error(
             f"--ranks only applies to parallel backends; --backend "
             f"{backend} runs in-process")
-    if args.insert_strategy is not None:
-        # Exported before the pool forks so every worker triangulates
-        # with the requested strategy.
-        os.environ[insertion.INSERT_ENV] = insertion.canonical_strategy_name(
-            args.insert_strategy)
     service = MeshService(
         _service_address(args),
         backend=backend,
@@ -417,7 +407,7 @@ def _submit_main(argv) -> int:
         if args.ping:
             summary["ping_rtt_s"] = round(client.ping(), 6)
         if has_geometry:
-            pslg = _load_geometry(args)
+            pslg = _load_geometry_or_exit(parser, args)
             reply = client.submit(pslg, _config_from_args(args))
             written = _write_mesh_outputs(args, reply.mesh)
             summary.update({
@@ -479,18 +469,14 @@ def main(argv=None) -> int:
             f"--backend {backend} shares no mutable state to instrument "
             "(use --backend threads to race-check the runtime)")
     canonical = executor.canonical_backend_name(backend)
-    if (args.no_warm_pool or args.pool_ttl is not None) \
-            and canonical != "processes":
+    if args.pool_ttl is not None and canonical != "processes":
         parser.error(
-            "--no-warm-pool/--pool-ttl configure the processes backend's "
-            f"persistent worker pool; --backend {backend} has no pool")
-    if args.no_warm_pool:
-        os.environ[executor.POOL_ENV] = "0"
+            "--pool-ttl configures the processes backend's persistent "
+            f"worker pool; --backend {backend} has no pool")
     if args.pool_ttl is not None:
         os.environ[executor.POOL_TTL_ENV] = repr(float(args.pool_ttl))
     n_ranks = args.ranks if args.ranks is not None else 4
-    insert_strategy = insertion.resolve_strategy_name(args.insert_strategy)
-    pslg = _load_geometry(args)
+    pslg = _load_geometry_or_exit(parser, args)
     config = _config_from_args(args)
     if args.sanitize and not tsan.enabled():
         os.environ["REPRO_SANITIZE"] = "1"  # inherited by any subprocesses
@@ -503,15 +489,11 @@ def main(argv=None) -> int:
             # backend's separate address spaces) merge into this sink.
             with use_counters() as profile_sink:
                 result = generate_mesh(pslg, config, backend=backend,
-                                       n_ranks=n_ranks,
-                                       stream=not args.no_stream,
-                                       insert_strategy=insert_strategy)
+                                       n_ranks=n_ranks)
         else:
             profile_sink = None
             result = generate_mesh(pslg, config, backend=backend,
-                                   n_ranks=n_ranks,
-                                   stream=not args.no_stream,
-                                   insert_strategy=insert_strategy)
+                                   n_ranks=n_ranks)
     elapsed = tm.elapsed
 
     adapt_summary = None
@@ -533,10 +515,7 @@ def main(argv=None) -> int:
 
     summary = {
         "backend": canonical,
-        "insert_strategy": insert_strategy,
         "n_ranks": n_ranks,
-        "stream": not args.no_stream,
-        "warm_pool": bool(getattr(backend_impl, "pool_enabled", False)),
         "elapsed_s": round(elapsed, 3),
         "n_points": final_mesh.n_points,
         "n_triangles": final_mesh.n_triangles,

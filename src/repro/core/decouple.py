@@ -320,7 +320,7 @@ def decouple_stream(
     refining it while the remaining splits are still running.  The
     overall yield order is *exactly* the list :func:`decouple` returns
     (finalised subdomains in pop order, then the heap's residual array
-    order), which keeps streamed and barriered merges byte-identical.
+    order), so a streamed merge is byte-identical to one over that list.
     """
     import heapq
 

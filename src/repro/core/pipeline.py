@@ -23,13 +23,11 @@ output without any human intervention."
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..delaunay.cavity import INSERT_ENV, resolve_strategy_name
 from ..delaunay.mesh import TriMesh, merge_meshes
 from ..delaunay.refine import RUPPERT_BOUND
 from ..geometry.aabb import AABB
@@ -58,7 +56,6 @@ __all__ = [
     "MeshConfig",
     "MeshResult",
     "generate_mesh",
-    "STREAM_ENV",
     "pack_mesh_request",
     "unpack_mesh_request",
     "request_cost",
@@ -67,17 +64,6 @@ __all__ = [
     "adapt_workitem",
     "unpack_adapt_result",
 ]
-
-#: ``REPRO_STREAM=0`` disables streamed decompose->refine dispatch and
-#: restores the barriered two-stage flow (decouple fully, then refine).
-STREAM_ENV = "REPRO_STREAM"
-
-
-def _stream_enabled(stream: Optional[bool]) -> bool:
-    if stream is not None:
-        return bool(stream)
-    return os.environ.get(STREAM_ENV, "1") != "0"
-
 
 @dataclass
 class MeshConfig:
@@ -109,7 +95,7 @@ class MeshResult:
     inviscid_meshes: List[TriMesh]
     subdomains: List[DecoupledSubdomain]
     timings: Dict[str, float]
-    #: numeric run statistics plus the resolved ``insert_strategy`` name.
+    #: numeric run statistics.
     stats: Dict[str, object]
 
 
@@ -125,8 +111,6 @@ def generate_mesh(
     *,
     backend: Optional[str] = None,
     n_ranks: int = 4,
-    stream: Optional[bool] = None,
-    insert_strategy: Optional[str] = None,
 ) -> MeshResult:
     """Generate the full hybrid mesh for ``pslg`` (all body loops).
 
@@ -136,45 +120,13 @@ def generate_mesh(
     Every backend produces the identical mesh — the subdomains are
     decoupled, so execution order cannot change the result.
 
-    ``stream`` (default on; ``REPRO_STREAM=0`` disables) feeds work to
-    the executor as it is discovered: the near-body subdomain is
-    submitted before decoupling starts and each decoupled subdomain the
-    moment it is final, so pool workers refine while the parent is
-    still splitting — the paper's overlap of decomposition with
-    refinement.  Submission order equals the barriered payload order,
-    so the merged mesh is byte-identical either way.
-
-    ``insert_strategy`` picks the Delaunay cavity-engine insertion
-    strategy (any name from
-    :func:`repro.delaunay.available_strategies`); ``None`` falls back
-    to ``REPRO_INSERT``, then ``scalar``.  An explicit choice is
-    exported through the environment for the duration of the run so
-    worker processes triangulate with the same strategy.
+    Work reaches the executor as it is discovered: the near-body
+    subdomain is submitted before decoupling starts and each decoupled
+    subdomain the moment it is final, so pool workers refine while the
+    parent is still splitting — the paper's overlap of decomposition
+    with refinement.  Results come back in submission order, so the
+    merged mesh does not depend on which worker finished first.
     """
-    strategy = resolve_strategy_name(insert_strategy)
-    if insert_strategy is None:
-        return _generate_mesh_impl(pslg, config, backend, n_ranks, stream,
-                                   strategy)
-    prev = os.environ.get(INSERT_ENV)
-    os.environ[INSERT_ENV] = strategy
-    try:
-        return _generate_mesh_impl(pslg, config, backend, n_ranks, stream,
-                                   strategy)
-    finally:
-        if prev is None:
-            os.environ.pop(INSERT_ENV, None)
-        else:
-            os.environ[INSERT_ENV] = prev
-
-
-def _generate_mesh_impl(
-    pslg: PSLG,
-    config: Optional[MeshConfig],
-    backend: Optional[str],
-    n_ranks: int,
-    stream: Optional[bool],
-    insert_strategy: str,
-) -> MeshResult:
     config = config or MeshConfig()
     backend_impl = executor.get_backend(
         executor.resolve_backend_name(backend))
@@ -236,11 +188,9 @@ def _generate_mesh_impl(
     # 4+5. Decouple the far field and refine everything (near-body +
     #    inviscid subdomains) through the executor layer: each work item
     #    is one serde-packed subdomain, each result one packed mesh,
-    #    ordered like the inputs.  Streamed dispatch (default) submits
-    #    the near-body subdomain before decoupling starts and every
-    #    decoupled subdomain as it is produced; barriered dispatch
-    #    (``REPRO_STREAM=0``) decouples fully, then maps.  Submission
-    #    order is identical, so the merge below cannot tell them apart.
+    #    ordered like the inputs.  The near-body subdomain is submitted
+    #    before decoupling starts and every decoupled subdomain as it is
+    #    produced.
     # ------------------------------------------------------------------
     def _cost(s: DecoupledSubdomain) -> float:
         return (s.est_triangles if s.est_triangles > 0.0
@@ -250,32 +200,20 @@ def _generate_mesh_impl(
         return _pack_refine_item(s, sizing, config.quality_bound,
                                  config.max_steiner)
 
-    if _stream_enabled(stream):
-        # Note: under streaming, ``refinement`` wall time spans the
-        # whole overlapped region (it contains ``decoupling``).
-        with timed("refinement") as tm_refine:
-            session = backend_impl.stream_workitems(_refine_workitem,
-                                                    n_ranks=n_ranks)
-            session.submit(_payload(nearbody), cost=_cost(nearbody))
-            subdomains: List[DecoupledSubdomain] = []
-            with timed("decoupling") as tm_decouple:
-                for s in decouple_stream(quads, sizing, target_count=target):
-                    subdomains.append(s)
-                    session.submit(_payload(s), cost=_cost(s))
-            packed = session.results()
-            meshes = [serde.unpack_mesh(b) for b in packed]
-        work = [nearbody] + subdomains
-    else:
+    # Note: ``refinement`` wall time spans the whole overlapped region
+    # (it contains ``decoupling``).
+    with timed("refinement") as tm_refine:
+        session = backend_impl.stream_workitems(_refine_workitem,
+                                                n_ranks=n_ranks)
+        session.submit(_payload(nearbody), cost=_cost(nearbody))
+        subdomains: List[DecoupledSubdomain] = []
         with timed("decoupling") as tm_decouple:
-            subdomains = list(decouple_stream(quads, sizing,
-                                              target_count=target))
-        work = [nearbody] + subdomains
-        with timed("refinement") as tm_refine:
-            payloads = [_payload(s) for s in work]
-            costs = [_cost(s) for s in work]
-            packed = backend_impl.map_workitems(_refine_workitem, payloads,
-                                                costs=costs, n_ranks=n_ranks)
-            meshes = [serde.unpack_mesh(b) for b in packed]
+            for s in decouple_stream(quads, sizing, target_count=target):
+                subdomains.append(s)
+                session.submit(_payload(s), cost=_cost(s))
+        packed = session.results()
+        meshes = [serde.unpack_mesh(b) for b in packed]
+    work = [nearbody] + subdomains
     timings["decoupling"] = tm_decouple.elapsed
     timings["refinement"] = tm_refine.elapsed
 
@@ -293,7 +231,6 @@ def _generate_mesh_impl(
         "n_subdomains": float(len(work)),
         "h0": h0,
         "chord": chord,
-        "insert_strategy": insert_strategy,
         **{f"bl_{k}": v for k, v in bl.stats.items()},
     }
     return MeshResult(
@@ -342,10 +279,10 @@ def pack_mesh_request(pslg: PSLG,
 
     The dict carries *everything* that determines the output mesh —
     PSLG geometry plus the full (BL-nested) :class:`MeshConfig` — and
-    nothing that does not (backend, rank count and streaming mode are
-    transport knobs; backend parity guarantees they cannot change the
-    result).  Its :func:`repro.runtime.serde.canonical_hash` is therefore
-    a sound content address for the service's mesh cache.
+    nothing that does not (backend and rank count are transport knobs;
+    backend parity guarantees they cannot change the result).  Its
+    :func:`repro.runtime.serde.canonical_hash` is therefore a sound
+    content address for the service's mesh cache.
     """
     payload = serde.nest("pslg.", serde.pack_pslg(pslg))
     payload.update(serde.nest("config.",

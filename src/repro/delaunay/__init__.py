@@ -4,14 +4,6 @@ This package is the repository's from-scratch replacement for Shewchuk's
 Triangle (see DESIGN.md, substitutions table).
 """
 
-from .cavity import (
-    INSERT_ENV,
-    InsertionStrategy,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    resolve_strategy_name,
-)
 from .constrained import constrained_delaunay, insert_segment, triangulate_pslg, carve
 from .dnc import insertion_order, triangulate_ordered
 from .hull import convex_hull, lower_hull, lower_hull_sorted, upper_hull
@@ -42,10 +34,8 @@ from .smooth import (
 
 __all__ = [
     "GHOST",
-    "INSERT_ENV",
     "AdaptReport",
     "AreaCriterion",
-    "InsertionStrategy",
     "MeshAdaptor",
     "MetricCriterion",
     "RUPPERT_BOUND",
@@ -57,12 +47,8 @@ __all__ = [
     "TriangulationError",
     "ValidationReport",
     "adapt_mesh",
-    "available_strategies",
-    "get_strategy",
     "laplacian_smooth",
     "metric_smooth",
-    "register_strategy",
-    "resolve_strategy_name",
     "validate_mesh",
     "carve",
     "constrained_delaunay",

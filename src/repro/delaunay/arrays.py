@@ -129,23 +129,6 @@ class MeshArrays:
         self.n_pts = i + 1
         return i
 
-    def bulk_new_points(self, xy: np.ndarray) -> np.ndarray:
-        """Append a block of points at once; returns their vertex ids.
-
-        Vectorised sibling of :meth:`new_point` for the batch insertion
-        strategy: one reserve, one slice assign, no per-point Python.
-        Callers holding flat-view aliases must re-read them afterwards
-        (reservation may reallocate, exactly as with ``new_point``).
-        """
-        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-        m = len(xy)
-        self.reserve_points(m)
-        i = self.n_pts
-        self.pts[i:i + m] = xy
-        self.vertex_tri[i:i + m] = -1
-        self.n_pts = i + m
-        return np.arange(i, i + m, dtype=np.int64)
-
     def new_triangle_slot(self) -> int:
         """Pop a recycled slot or append one (capacity must be reserved
         by the caller when it holds view aliases)."""

@@ -26,8 +26,7 @@ from ..runtime.counters import current as counters_current
 from .cavity import (
     brio_order,
     find_directed_edge,
-    get_strategy,
-    resolve_strategy_name,
+    insert_points,
 )
 from .kernel import GHOST, Triangulation, TriangulationError
 from .mesh import TriMesh
@@ -271,15 +270,8 @@ def _legalize_edges(tri: Triangulation, edges: Sequence[Tuple[int, int]],
 
 
 def triangulate_pslg(points: np.ndarray, segments: np.ndarray,
-                     *, assume_sorted: bool = False,
-                     strategy: Optional[str] = None) -> Triangulation:
-    """Insert all PSLG points, then recover and lock every segment.
-
-    Point insertion goes through the cavity-engine strategy registry
-    (``strategy`` / ``REPRO_INSERT``); segment recovery is always
-    sequential.  No constraints exist during the bulk phase, so the
-    batched strategy is safe here.
-    """
+                     *, assume_sorted: bool = False) -> Triangulation:
+    """Insert all PSLG points, then recover and lock every segment."""
     points = np.asarray(points, dtype=np.float64)
     segments = np.asarray(segments, dtype=np.int64)
     tri = Triangulation()
@@ -287,9 +279,7 @@ def triangulate_pslg(points: np.ndarray, segments: np.ndarray,
         order = np.arange(len(points))
     else:
         order = brio_order(points, seed=0xFACADE)
-    name = resolve_strategy_name(strategy)
-    kernel_id: Dict[int, int] = get_strategy(name).insert_points(
-        tri, points, order)
+    kernel_id: Dict[int, int] = insert_points(tri, points, order)
     for u, v in segments:
         ku, kv = kernel_id[int(u)], kernel_id[int(v)]
         for su, sv in insert_segment(tri, ku, kv):
@@ -352,10 +342,8 @@ def carve(tri: Triangulation, holes: Sequence[Tuple[float, float]] = ()
 
 def constrained_delaunay(points: np.ndarray, segments: np.ndarray,
                          holes: Sequence[Tuple[float, float]] = (),
-                         *, assume_sorted: bool = False,
-                         strategy: Optional[str] = None) -> TriMesh:
+                         *, assume_sorted: bool = False) -> TriMesh:
     """One-call CDT of a PSLG with exterior/hole carving."""
-    tri = triangulate_pslg(points, segments, assume_sorted=assume_sorted,
-                           strategy=strategy)
+    tri = triangulate_pslg(points, segments, assume_sorted=assume_sorted)
     mask = carve(tri, holes)
     return tri.to_mesh(keep_mask=mask)

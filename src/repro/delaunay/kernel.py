@@ -43,8 +43,8 @@ Storage is the structure-of-arrays core
 ``int32`` NumPy buffers with amortized-doubling growth).  The scalar hot
 paths index the buffers through cached flat :class:`memoryview` casts
 (faster than list-of-lists on CPython and zero-copy into the arrays);
-batch paths (``_expand_level_batch``, grid builds) fancy-index the same
-arrays at C speed; :meth:`to_mesh` is a vectorised compaction whose
+batch paths (``cavity.expand_level_batch``, grid builds) fancy-index
+the same arrays at C speed; :meth:`to_mesh` is a vectorised compaction whose
 point block can be a zero-copy view.  ``pts`` / ``tri_v`` / ``tri_n`` /
 ``vertex_tri`` remain available as read-compatible sequence views for
 consumers and tests.
@@ -76,16 +76,11 @@ from .cavity import (
     brio_order,
     carve_cavity_fast,
     carve_cavity_ref,
-    expand_level_batch,
-    get_strategy,
     insert_point_fast,
-    locate_fallback,
+    insert_points,
     locate_fast,
     locate_ref,
-    prune_cavity_visibility,
-    resolve_strategy_name,
     retriangulate,
-    walk_start,
 )
 from ..geometry.predicates import incircle, orient2d
 from .mesh import TriMesh
@@ -285,8 +280,6 @@ class Triangulation:
         self.stat_incircle_exact = 0
         self.stat_batch_calls = 0
         self.stat_batch_entries = 0
-        self.stat_batch_points = 0
-        self.stat_conflict_retries = 0
         self.stat_walk_hist = [0] * 32
         self.stat_cavity_hist = [0] * 32
         self.stat_finalize_ns = 0
@@ -404,8 +397,6 @@ class Triangulation:
             "incircle_exact": self.stat_incircle_exact,
             "batch_calls": self.stat_batch_calls,
             "batch_entries": self.stat_batch_entries,
-            "batch_points": self.stat_batch_points,
-            "conflict_retries": self.stat_conflict_retries,
             "finalize_ns": self.stat_finalize_ns,
             "exact_escalation_rate": (exact / total) if total else 0.0,
             "walk_hist": list(self.stat_walk_hist),
@@ -595,23 +586,8 @@ class Triangulation:
         if self.n_live_triangles == 0:
             raise TriangulationError("empty triangulation")
         if self._fast:
-            return self._locate_fast(p, hint)
-        return self._locate_ref(p, hint)
-
-    def _walk_start(self, px: float, py: float, hint: int) -> int:
-        return walk_start(self, px, py, hint)
-
-    def _locate_ref(self, p: Tuple[float, float], hint: int) -> int:
-        """Scalar-predicate walk (the reference / seed hot path)."""
+            return locate_fast(self, p, hint)
         return locate_ref(self, p, hint)
-
-    def _locate_fast(self, p: Tuple[float, float], hint: int) -> int:
-        """Walk with the orientation filter inlined (exact escalation)."""
-        return locate_fast(self, p, hint)
-
-    def _locate_fallback(self, p: Tuple[float, float]) -> int:
-        """Exhaustive exact containment scan (adversarial degeneracies)."""
-        return locate_fallback(self, p)
 
     def find_vertex_at(self, p: Tuple[float, float], t: int) -> Optional[int]:
         """Vertex of triangle ``t`` exactly coincident with ``p``, if any."""
@@ -730,23 +706,6 @@ class Triangulation:
     # ------------------------------------------------------------------
     # Cavity carving
     # ------------------------------------------------------------------
-    def _carve_cavity_ref(self, p: Tuple[float, float], t0: int
-                          ) -> Tuple[Set[int], bool]:
-        """Circumdisk BFS with scalar robust predicates (reference)."""
-        return carve_cavity_ref(self, p, t0)
-
-    def _carve_cavity_fast(self, p: Tuple[float, float], t0: int
-                           ) -> Tuple[Set[int], bool]:
-        """Level-order circumdisk search with inlined filtered
-        predicates; see :func:`repro.delaunay.cavity.carve_cavity_fast`.
-        """
-        return carve_cavity_fast(self, p, t0)
-
-    def _expand_level_batch(self, cand: List[int], cavity: Set[int],
-                            px: float, py: float) -> List[int]:
-        """Batched in-disk test of one BFS level; returns accepted tris."""
-        return expand_level_batch(self, cand, cavity, px, py)
-
     def _insert_into_cavity(self, vid: int, t0: int) -> None:
         """Bowyer–Watson: carve the cavity of circumdisks containing the new
         point and re-fan from it.  Never crosses constrained edges."""
@@ -768,21 +727,10 @@ class Triangulation:
             t0 = found
 
         if self._fast:
-            cavity, blocked = self._carve_cavity_fast(p, t0)
+            cavity, blocked = carve_cavity_fast(self, p, t0)
         else:
-            cavity, blocked = self._carve_cavity_ref(p, t0)
-        self._retriangulate(vid, cavity, t0, blocked)
-
-    def _retriangulate(self, vid: int, cavity: Set[int], t0: int,
-                       blocked: bool) -> None:
-        """Replace ``cavity`` by the star fan of ``vid`` (shared tail of
-        the fast and reference insertion paths)."""
+            cavity, blocked = carve_cavity_ref(self, p, t0)
         retriangulate(self, vid, cavity, t0, blocked)
-
-    def _prune_cavity_visibility(self, cavity: Set[int], t0: int,
-                                 p: Tuple[float, float]) -> Set[int]:
-        """Drop cavity triangles whose centroid ``p`` cannot see."""
-        return prune_cavity_visibility(self, cavity, t0, p)
 
     def _legalize_vertex(self, vid: int, *, max_ops: int = 100_000) -> None:
         """Lawson legalisation of the edges opposite ``vid`` in its star.
@@ -1051,8 +999,7 @@ class Triangulation:
 
 def triangulate(points: np.ndarray, *, assume_sorted: bool = False,
                 seed: int = 0xC0FFEE,
-                fast_predicates: bool = True,
-                strategy: Optional[str] = None) -> Triangulation:
+                fast_predicates: bool = True) -> Triangulation:
     """Delaunay-triangulate a point set incrementally.
 
     ``assume_sorted`` mirrors the paper's Triangle optimisation (Section
@@ -1061,31 +1008,18 @@ def triangulate(points: np.ndarray, *, assume_sorted: bool = False,
     predecessor).  Otherwise points are inserted in BRIO order derived
     from ``seed`` for expected-case robustness.  Identical inputs and
     seed produce byte-identical triangulations.
-
-    ``strategy`` picks the bulk insertion strategy from the
-    :mod:`repro.delaunay.cavity` registry (``scalar`` or ``batch``);
-    ``None`` defers to the ``REPRO_INSERT`` environment variable and
-    then the scalar default.  Every strategy produces a Delaunay
-    triangulation of the same point set; vertex numbering may differ.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be (n, 2)")
     tri, _ = _triangulate_with_map(points, assume_sorted=assume_sorted,
-                                   seed=seed, fast_predicates=fast_predicates,
-                                   strategy=strategy)
+                                   seed=seed, fast_predicates=fast_predicates)
     return tri
-
-
-#: Historical name for the shared BRIO ordering (now owned by
-#: :mod:`repro.delaunay.cavity`); kept for importers.
-_brio_order = brio_order
 
 
 def _triangulate_with_map(points: np.ndarray, *, assume_sorted: bool,
                           seed: int = 0xC0FFEE,
                           fast_predicates: bool = True,
-                          strategy: Optional[str] = None,
                           ) -> Tuple[Triangulation, Dict[int, int]]:
     if len(points) and not np.isfinite(points).all():
         raise ValueError("non-finite coordinates")
@@ -1096,14 +1030,12 @@ def _triangulate_with_map(points: np.ndarray, *, assume_sorted: bool,
         order = range(len(points))
     else:
         order = brio_order(points, seed=seed).tolist()
-    name = resolve_strategy_name(strategy)
-    inserted = get_strategy(name).insert_points(tri, points, order)
+    inserted = insert_points(tri, points, order)
     return tri, inserted
 
 
 def delaunay_mesh(points: np.ndarray, *, assume_sorted: bool = False,
-                  seed: int = 0xC0FFEE,
-                  strategy: Optional[str] = None) -> TriMesh:
+                  seed: int = 0xC0FFEE) -> TriMesh:
     """Delaunay triangulation as a :class:`TriMesh` indexed like ``points``.
 
     Duplicate input points map to the first occurrence, so triangle indices
@@ -1111,7 +1043,7 @@ def delaunay_mesh(points: np.ndarray, *, assume_sorted: bool = False,
     """
     points = np.asarray(points, dtype=np.float64)
     tri, inserted = _triangulate_with_map(points, assume_sorted=assume_sorted,
-                                          seed=seed, strategy=strategy)
+                                          seed=seed)
     # kernel vertex id -> smallest input index that produced it
     inv: Dict[int, int] = {}
     for i, k in inserted.items():

@@ -295,7 +295,7 @@ class TriMesh:
         triangle/segment rows are lexsorted.  Feed the result through
         :func:`repro.runtime.serde.pack_mesh` +
         :func:`~repro.runtime.serde.canonical_hash` to compare meshes
-        produced by different insertion strategies.
+        produced by different insertion orders.
         """
         pts = self.points
         order = np.lexsort((pts[:, 1], pts[:, 0]))

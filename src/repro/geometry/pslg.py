@@ -87,6 +87,18 @@ class PSLG:
             if lp.indices.max() >= len(self.points) or lp.indices.min() < 0:
                 raise ValueError(f"loop {lp.name!r} indexes out of range")
             pts = self.points[lp.indices]
+            # Same test as loop_edge_tangents, so no accepted loop can
+            # fail there later.
+            lengths = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+            zero = np.flatnonzero(exact_eq(lengths, 0.0))
+            if len(zero):
+                k = int(zero[0])
+                u = int(lp.indices[k])
+                v = int(lp.indices[(k + 1) % len(lp.indices)])
+                x, y = self.points[u].tolist()
+                raise ValueError(
+                    f"loop {lp.name or i!r} has a zero-length edge: "
+                    f"vertices {u} and {v} coincide at ({x!r}, {y!r})")
             if polygon_area(pts) < 0:
                 lp = Loop(lp.indices[::-1].copy(), name=lp.name,
                           is_body=lp.is_body)

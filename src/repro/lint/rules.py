@@ -448,11 +448,11 @@ class LocksetRule(Rule):
 
     Scope note: this rule (and the dynamic sanitizer that backs it)
     governs *in-process* shared state — the ``serial`` and ``threads``
-    executor backends.  The ``processes`` backend's cross-process state
-    (:class:`repro.runtime.executor.LoadBoard`) is synchronised by a
-    ``multiprocessing`` lock the AST heuristic does recognise, but the
-    sanitizer cannot observe other processes' accesses; that backend
-    refuses to run under the sanitizer rather than vacuously passing.
+    executor backends.  The ``processes`` backend's workers share no
+    mutable state with the parent (payloads and results cross pipes and
+    a queue as buffer envelopes), and the sanitizer cannot observe
+    other processes' accesses; that backend refuses to run under the
+    sanitizer rather than vacuously passing.
     """
 
     id = "R6"
@@ -523,8 +523,8 @@ class BufferCopyRule(Rule):
     lexically inside a function named ``compact``/``to_mesh``/
     ``to_trimesh``/``laplacian_smooth``/``metric_smooth``/``pack_*``/
     ``unpack_*``/``buffers_*``/``batch_*``/``*_batch``.  The ``batch``
-    names cover the cavity engine's vectorised insertion paths
-    (``walk_batch``, ``carve_batch``, ...): those exist *because* they
+    names cover the cavity engine's vectorised helpers
+    (``expand_level_batch``, ...): those exist *because* they
     replace per-element predicate loops, so a Python walk over the
     buffers inside one is a regression by definition.  The smoothing
     names guard the whole-mesh Jacobi smoothers the same way — they

@@ -138,7 +138,7 @@ class KernelCounters:
         "inserts", "locates", "walk_steps", "brute_locates", "grid_seeds",
         "cavity_triangles", "flips",
         "orient_fast", "orient_exact", "incircle_fast", "incircle_exact",
-        "batch_calls", "batch_entries", "batch_points", "conflict_retries",
+        "batch_calls", "batch_entries",
         "finalize_ns",
         "walk_hist", "cavity_hist",
     )
@@ -157,8 +157,6 @@ class KernelCounters:
         self.incircle_exact = 0
         self.batch_calls = 0
         self.batch_entries = 0
-        self.batch_points = 0
-        self.conflict_retries = 0
         self.finalize_ns = 0
         self.walk_hist = Histogram(32)
         self.cavity_hist = Histogram(32)
@@ -178,8 +176,6 @@ class KernelCounters:
         self.incircle_exact += tri.stat_incircle_exact
         self.batch_calls += tri.stat_batch_calls
         self.batch_entries += tri.stat_batch_entries
-        self.batch_points += tri.stat_batch_points
-        self.conflict_retries += tri.stat_conflict_retries
         self.finalize_ns += tri.stat_finalize_ns
         self.walk_hist.merge_counts(
             tri.stat_walk_hist, tri.stat_locates, tri.stat_walk_steps)
@@ -258,8 +254,6 @@ class KernelCounters:
             "incircle_exact": self.incircle_exact,
             "batch_calls": self.batch_calls,
             "batch_entries": self.batch_entries,
-            "batch_points": self.batch_points,
-            "conflict_retries": self.conflict_retries,
             "finalize_ns": self.finalize_ns,
             "exact_escalation_rate": self.exact_escalation_rate,
         }
@@ -277,8 +271,6 @@ class KernelCounters:
             f"  (exact {self.incircle_exact})",
             f"  batched entries    {self.batch_entries}"
             f"  in {self.batch_calls} batch calls",
-            f"  batch-inserted pts {self.batch_points}"
-            f"  (conflict retries {self.conflict_retries})",
             f"  flips              {self.flips}",
             f"  finalize time      {self.finalize_ns / 1e6:.2f} ms",
             f"  exact escalation   {self.exact_escalation_rate:.4%}",

@@ -37,10 +37,6 @@ class BucketGrid:
         self._cells: List[List[Tuple[float, float, int]]] = [
             [] for _ in range(self.nx * self.ny)
         ]
-        # First payload per cell (-1 when empty), kept as a flat array
-        # so bulk consumers (the batch walk seeder) can gather thousands
-        # of first_in_cell answers in one indexing expression.
-        self._heads = np.full(self.nx * self.ny, -1, dtype=np.int64)
         self._n = 0
 
     def __len__(self) -> int:
@@ -58,8 +54,6 @@ class BucketGrid:
     def insert(self, x: float, y: float, payload: int) -> None:
         c = self._cell_index(x, y)
         self._cells[c].append((x, y, payload))
-        if self._heads[c] < 0:
-            self._heads[c] = payload
         self._n += 1
 
     def insert_many(self, pts: np.ndarray, payloads: Optional[Iterable[int]] = None
@@ -95,47 +89,7 @@ class BucketGrid:
         for s, e, c in zip(starts.tolist(), ends.tolist(),
                            cells_sorted[starts].tolist()):
             cell_lists[c].extend(zip(xs[s:e], ys[s:e], pids[s:e]))
-        # The stable argsort keeps insertion order within a cell, so
-        # pids[starts] is the first point this bulk adds to each cell.
-        occupied = cells_sorted[starts]
-        cur = self._heads[occupied]
-        self._heads[occupied] = np.where(cur >= 0, cur,
-                                         ids[order][starts])
         self._n += len(pts)
-
-    def cell_ids(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorised bucket index per query point (``(n, 2)`` input).
-
-        Bit-identical to :meth:`_cell_index` (same expression order as
-        :meth:`insert_many`); out-of-bounds queries clamp into the
-        border buckets.  The Delaunay batch-insertion strategy uses the
-        bucket id as its independence partition: one candidate per
-        bucket per sub-batch.
-        """
-        pts = np.asarray(pts, dtype=np.float64)
-        w = self.bounds.width or 1.0
-        h = self.bounds.height or 1.0
-        ix = ((pts[:, 0] - self.bounds.xmin) / w * self.nx).astype(np.int64)
-        iy = ((pts[:, 1] - self.bounds.ymin) / h * self.ny).astype(np.int64)
-        np.clip(ix, 0, self.nx - 1, out=ix)
-        np.clip(iy, 0, self.ny - 1, out=iy)
-        return iy * self.nx + ix
-
-    def first_in_cell(self, cell: int) -> int:
-        """Payload of the first point stored in ``cell``, or ``-1``.
-
-        O(1) walk-seed query: any stored point in the query's own
-        bucket is within one bucket diagonal, which is all a walk seed
-        needs (``nearest`` pays a ring scan for precision the walk
-        doesn't use).
-        """
-        return int(self._heads[cell])
-
-    def head_payloads(self) -> np.ndarray:
-        """Flat ``nx * ny`` array of :meth:`first_in_cell` answers
-        (-1 for empty cells).  Shared, not a copy — callers must not
-        write to it."""
-        return self._heads
 
     def nearest(self, x: float, y: float) -> Optional[int]:
         """Payload of an *approximately* nearest stored point, or ``None``.

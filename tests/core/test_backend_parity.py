@@ -123,11 +123,10 @@ class TestBoundaryLayerParity:
 
 
 class TestStreamingParity:
-    """Streamed dispatch is an execution-overlap optimisation, not a
-    different algorithm: ``decouple_stream`` yields subdomains in
-    exactly the order ``decouple`` returns them and submission order
-    equals the barriered payload order, so the merged mesh must be
-    *byte*-identical — raw array bytes, not just canonical form."""
+    """Subdomains stream to the executor as decoupling produces them;
+    results come back in submission order, so every backend and rank
+    count must reproduce the serial run *byte* for byte — raw array
+    bytes, not just canonical form."""
 
     @classmethod
     def setup_class(cls):
@@ -138,48 +137,31 @@ class TestStreamingParity:
             farfield_chords=10.0,
             target_subdomains=8,
         )
-        cls.barriered = generate_mesh(cls.pslg, cls.config,
-                                      backend="serial", stream=False)
+        cls.serial = generate_mesh(cls.pslg, cls.config, backend="serial")
 
     def assert_bytes_identical(self, mesh):
-        ref = self.barriered.mesh
+        ref = self.serial.mesh
         assert mesh.points.tobytes() == ref.points.tobytes()
         assert mesh.triangles.tobytes() == ref.triangles.tobytes()
         assert mesh.segments.tobytes() == ref.segments.tobytes()
 
-    @pytest.mark.parametrize("name", ["serial"] + PARALLEL_BACKENDS)
-    def test_streamed_equals_barriered(self, name):
-        with _maybe_suspend(name):
-            streamed = generate_mesh(self.pslg, self.config, backend=name,
-                                     n_ranks=3, stream=True)
-        self.assert_bytes_identical(streamed.mesh)
-        # The streamed run discovered the same subdomain sequence.
-        assert len(streamed.subdomains) == len(self.barriered.subdomains)
-        for a, b in zip(streamed.subdomains, self.barriered.subdomains):
-            assert np.array_equal(a.ring, b.ring)
-
     @pytest.mark.parametrize("name", PARALLEL_BACKENDS)
-    def test_barriered_parallel_equals_barriered_serial(self, name):
+    def test_backend_equals_serial(self, name):
         with _maybe_suspend(name):
             result = generate_mesh(self.pslg, self.config, backend=name,
-                                   n_ranks=3, stream=False)
+                                   n_ranks=3)
         self.assert_bytes_identical(result.mesh)
-
-    def test_env_knob_matches_explicit_arg(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM", "0")
-        via_env = generate_mesh(self.pslg, self.config, backend="serial")
-        self.assert_bytes_identical(via_env.mesh)
-        monkeypatch.setenv("REPRO_STREAM", "1")
-        via_env = generate_mesh(self.pslg, self.config, backend="serial")
-        self.assert_bytes_identical(via_env.mesh)
+        # The run discovered the same subdomain sequence.
+        assert len(result.subdomains) == len(self.serial.subdomains)
+        for a, b in zip(result.subdomains, self.serial.subdomains):
+            assert np.array_equal(a.ring, b.ring)
 
     def test_streamed_threads_under_sanitizer(self):
         """REPRO_SANITIZE=1 threads: the race-instrumented runtime sees
         the streamed dispatch path and still produces the same bytes."""
         with tsan.sanitize() as det:
-            streamed = generate_mesh(self.pslg, self.config,
-                                     backend="threads", n_ranks=3,
-                                     stream=True)
+            result = generate_mesh(self.pslg, self.config,
+                                   backend="threads", n_ranks=3)
             races = det.races
         assert races == []
-        self.assert_bytes_identical(streamed.mesh)
+        self.assert_bytes_identical(result.mesh)

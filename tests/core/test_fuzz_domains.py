@@ -81,31 +81,6 @@ def test_service_path_is_byte_identical_to_direct(tmp_path,
         thread.stop()
 
 
-@pytest.mark.parametrize("name", DOMAIN_NAMES)
-def test_domain_batch_strategy_differential(name, direct_results):
-    """Batch insertion through the full pipeline: same invariant suite,
-    macro statistics pinned to the scalar run.
-
-    The meshes are not byte-identical — exact cocircular ties resolve by
-    insertion order, which shifts individual Steiner points — but
-    counts, quality and total area must agree tightly with scalar."""
-    pslg, config = DOMAINS[name]()
-    result = generate_mesh(pslg, config, backend="serial",
-                           insert_strategy="batch")
-    assert result.stats["insert_strategy"] == "batch"
-    mesh = result.mesh
-    report = validate_mesh(mesh)
-    assert report.ok, report.summary()
-    assert report.delaunay_violations == 0
-    assert report.inverted_triangles == 0
-    scalar_mesh = direct_results[name].mesh
-    assert mesh.n_triangles == pytest.approx(scalar_mesh.n_triangles,
-                                             rel=0.05)
-    got = float(np.abs(mesh.areas()).sum())
-    want = float(np.abs(scalar_mesh.areas()).sum())
-    assert got == pytest.approx(want, rel=1e-6)
-
-
 def test_domain_builders_are_pure():
     for name in DOMAIN_NAMES:
         pslg_a, config_a = DOMAINS[name]()

@@ -15,8 +15,14 @@ import pytest
 
 from repro import BoundaryLayerConfig, MeshConfig, PSLG, generate_mesh, naca0012
 from repro.io.meshio import read_mesh_npz
+from repro.runtime import serde
 
 GOLDEN = Path(__file__).resolve().parents[2] / "examples/output/naca0012.npz"
+
+#: ``serde.canonical_hash(serde.pack_mesh(mesh))`` of the quickstart mesh
+#: (raw array bytes, not canonical form), pinned from commit ff76c1b.
+QUICKSTART_HASH = (
+    "748ad3f7136abbe8235f6ed58ac2951cdb039647993988afe88f21118b37cb38")
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +30,7 @@ def golden_mesh():
     return read_mesh_npz(GOLDEN)
 
 
-@pytest.fixture(scope="module")
-def quickstart_mesh():
+def _quickstart():
     # Mirrors examples/quickstart.py exactly.
     pslg = PSLG.from_loops([naca0012(n_points=101)], names=["naca0012"])
     config = MeshConfig(
@@ -35,6 +40,11 @@ def quickstart_mesh():
         target_subdomains=16,
     )
     return generate_mesh(pslg, config).mesh
+
+
+@pytest.fixture(scope="module")
+def quickstart_mesh():
+    return _quickstart()
 
 
 class TestGoldenNaca0012:
@@ -58,3 +68,20 @@ class TestGoldenNaca0012:
         got = float(np.abs(quickstart_mesh.areas()).sum())
         want = float(np.abs(golden_mesh.areas()).sum())
         assert got == pytest.approx(want, rel=1e-6)
+
+
+class TestPureFunctionOfRequest:
+    """The mesh depends on ``(PSLG, MeshConfig)`` only: environment
+    variables that once picked an insertion strategy, the fork-per-call
+    dispatcher or the barriered pipeline are inert."""
+
+    def test_leftover_env_cannot_change_mesh(self, monkeypatch,
+                                             quickstart_mesh):
+        monkeypatch.setenv("REPRO_INSERT", "batch")
+        monkeypatch.setenv("REPRO_POOL", "0")
+        monkeypatch.setenv("REPRO_STREAM", "0")
+        mesh = _quickstart()
+        assert mesh.points.tobytes() == quickstart_mesh.points.tobytes()
+        assert mesh.triangles.tobytes() == quickstart_mesh.triangles.tobytes()
+        assert mesh.segments.tobytes() == quickstart_mesh.segments.tobytes()
+        assert serde.canonical_hash(serde.pack_mesh(mesh)) == QUICKSTART_HASH

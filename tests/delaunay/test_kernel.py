@@ -114,10 +114,16 @@ class TestInsertion:
 
 
 class TestRandomSets:
-    @pytest.mark.parametrize("n,seed", [(20, 0), (100, 1), (400, 2)])
-    def test_random_uniform_is_delaunay(self, n, seed):
+    @pytest.mark.parametrize("n,seed,stretch", [
+        pytest.param(20, 0, 1.0, id="20-0"),
+        pytest.param(100, 1, 1.0, id="100-1"),
+        pytest.param(400, 2, 1.0, id="400-2"),
+        # 100:1 anisotropic cloud, the shape of a stretched BL region.
+        pytest.param(500, 3, 100.0, id="500-3-anisotropic"),
+    ])
+    def test_random_uniform_is_delaunay(self, n, seed, stretch):
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-10, 10, size=(n, 2))
+        pts = rng.uniform(-10, 10, size=(n, 2)) * [stretch, 1.0]
         tri = triangulate(pts)
         tri.check_integrity()
         mesh = tri.to_mesh()

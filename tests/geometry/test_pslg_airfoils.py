@@ -56,6 +56,12 @@ class TestPSLG:
         with pytest.raises(ValueError):
             PSLG(pts, [Loop([0, 1, 2, 3]), Loop([0, 5, 6])])
 
+    def test_zero_length_edge_names_loop_and_vertices(self):
+        pts = np.vstack([SQUARE[:2], SQUARE[1:]])  # vertex 2 repeats 1
+        with pytest.raises(ValueError,
+                           match=r"loop 'sq' .*vertices 1 and 2 coincide"):
+            PSLG(pts, [Loop([0, 1, 2, 3, 4], name="sq")])
+
     def test_nonfinite_rejected(self):
         bad = SQUARE.copy()
         bad[0, 0] = np.nan

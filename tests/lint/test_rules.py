@@ -238,10 +238,10 @@ class TestR7BufferCopy:
     def test_seeded_fault_in_batch_path_fires(self, tmp_path):
         # Seeded regression: de-vectorising a cavity-engine batch helper
         # back into a per-triangle Python loop over the SoA buffers must
-        # trip R7 (this is exactly the loop walk_batch/carve_batch
-        # replaced with one predicate call per level).
+        # trip R7 (this is exactly the loop expand_level_batch replaced
+        # with one predicate call per level).
         bad = """
-            def carve_batch(tri, t0s, qxy):
+            def expand_level_batch(tri, t0s, qxy):
                 out = []
                 for row in tri.tri_v:
                     out.append(int(row[0]))

@@ -61,6 +61,27 @@ class TestBackendFlags:
         assert summary["n_triangles"] > 0
 
 
+class TestGeometryErrors:
+    def test_duplicate_poly_vertex_is_one_line_error(self, capsys, tmp_path):
+        """Two consecutive coincident loop vertices: exit 2 with a
+        parser error naming the loop and both vertices, no traceback."""
+        poly = tmp_path / "dup.poly"
+        poly.write_text(
+            "5 2 0 0\n"
+            "1 0 0\n2 1 0\n3 1 0\n4 1 1\n5 0 1\n"
+            "5 0\n1 1 2\n2 2 3\n3 3 4\n4 4 5\n5 5 1\n"
+            "0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--poly", str(poly), "-o", str(tmp_path / "m")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("repro-mesh: error: invalid geometry:")
+        assert "zero-length edge" in last
+        assert "vertices 1 and 2" in last
+
+
 class TestAdaptFlags:
     def test_adapt_defaults_parse(self):
         parser = build_parser()
