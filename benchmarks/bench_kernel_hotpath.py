@@ -129,10 +129,10 @@ def python_loop_export(tri):
     for t in tri.live_triangles():
         if tri.is_ghost(t):
             continue
-        tris.append(tuple(tri.tri_v[t]))
+        tris.append(tri._arr.triangle(t))
     used = sorted({v for tr in tris for v in tr})
     remap = {v: i for i, v in enumerate(used)}
-    pts = np.asarray([tri.pts[v] for v in used])
+    pts = np.asarray([tri._arr.point(v) for v in used])
     out = np.asarray(
         [[remap[a], remap[b], remap[c]] for a, b, c in tris],
         dtype=np.int32)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -116,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=None,
                    help="worker count for the parallel backends "
                    "(default 4); rejected with --backend local/serial")
-    p.add_argument("--pool-ttl", type=float, metavar="SECONDS", default=None,
-                   help="idle worker time-to-live for the persistent pool "
-                   f"(default {executor.DEFAULT_POOL_TTL:.0f}s; equivalent "
-                   "to REPRO_POOL_TTL)")
     adapt = p.add_argument_group(
         "metric adaptation",
         "solution-driven anisotropic adaptation of the inviscid mesh "
@@ -468,19 +463,24 @@ def main(argv=None) -> int:
             f"--sanitize instruments shared-memory backends only; "
             f"--backend {backend} shares no mutable state to instrument "
             "(use --backend threads to race-check the runtime)")
-    canonical = executor.canonical_backend_name(backend)
-    if args.pool_ttl is not None and canonical != "processes":
-        parser.error(
-            "--pool-ttl configures the processes backend's persistent "
-            f"worker pool; --backend {backend} has no pool")
-    if args.pool_ttl is not None:
-        os.environ[executor.POOL_TTL_ENV] = repr(float(args.pool_ttl))
     n_ranks = args.ranks if args.ranks is not None else 4
     pslg = _load_geometry_or_exit(parser, args)
     config = _config_from_args(args)
-    if args.sanitize and not tsan.enabled():
-        os.environ["REPRO_SANITIZE"] = "1"  # inherited by any subprocesses
+    # The detector is process-global: leave it as main found it.
+    enabled_here = args.sanitize and not tsan.enabled()
+    if enabled_here:
         tsan.enable()
+    try:
+        return _mesh_and_report(args, pslg, config, backend, backend_impl,
+                                n_ranks)
+    finally:
+        if enabled_here:
+            tsan.disable()
+
+
+def _mesh_and_report(args, pslg, config, backend, backend_impl,
+                     n_ranks) -> int:
+    """Mesh ``pslg``, optionally adapt, write outputs and print a summary."""
     with timed("total") as tm:
         if args.profile:
             from .runtime.counters import use_counters
@@ -514,7 +514,7 @@ def main(argv=None) -> int:
         print(mesh_report(final_mesh, surface=surface))
 
     summary = {
-        "backend": canonical,
+        "backend": executor.canonical_backend_name(backend),
         "n_ranks": n_ranks,
         "elapsed_s": round(elapsed, 3),
         "n_points": final_mesh.n_points,

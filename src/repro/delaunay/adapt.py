@@ -117,15 +117,15 @@ class MeshAdaptor(Refiner):
     # ------------------------------------------------------------------
     def _vertex_tensors(self) -> np.ndarray:
         """Metric tensors interpolated at every kernel vertex."""
-        pts = np.asarray(self.tri.pts, dtype=np.float64)
-        return self.field.interpolate(pts)
+        arr = self.tri._arr
+        return self.field.interpolate(arr.pts[:arr.n_pts])
 
     def _interior_edges(self) -> List[Tuple[int, int]]:
         """Sorted unique edges of interior (non-hole, non-ghost) triangles."""
         tri = self.tri
         edges = set()
         for t in tri.live_triangles():
-            tv = tri.tri_v[t]
+            tv = tri._arr.triangle(t)
             if tv is None or GHOST in tv or not self._is_interior(t):
                 continue
             for k in range(3):
@@ -139,7 +139,7 @@ class MeshAdaptor(Refiner):
         if not len(edges):
             return np.empty(0)
         e = np.asarray(edges, dtype=np.int64)
-        pts = np.asarray(self.tri.pts, dtype=np.float64)
+        pts = self.tri._arr.pts
         from ..metric import tensor as _mt
 
         vec = pts[e[:, 1]] - pts[e[:, 0]]
@@ -172,7 +172,7 @@ class MeshAdaptor(Refiner):
             protected.add(u)
             protected.add(v)
         for t in tri.live_triangles():
-            tv = tri.tri_v[t]
+            tv = tri._arr.triangle(t)
             if tv is not None and GHOST in tv:
                 for w in tv:
                     if w != GHOST:
@@ -194,7 +194,7 @@ class MeshAdaptor(Refiner):
         loc = self._find_any_edge_triangle(u, v)
         if loc is None:
             return False
-        pu, pv = tri.pts[u], tri.pts[v]
+        pu, pv = tri._arr.point(u), tri._arr.point(v)
         mx, my = 0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])
         key = (u, v) if u < v else (v, u)
         if key in tri.constraints:
@@ -243,6 +243,7 @@ class MeshAdaptor(Refiner):
         a complete valid retriangulation exists.
         """
         tri = self.tri
+        arr = tri._arr
         star = tri.triangles_around_vertex(v)
         if len(star) < 3:
             return False
@@ -250,7 +251,7 @@ class MeshAdaptor(Refiner):
         ring_next: Dict[int, int] = {}
         outer: Dict[Tuple[int, int], int] = {}
         for t in star:
-            tv = tri.tri_v[t]
+            tv = arr.triangle(t)
             if tv is None or GHOST in tv:
                 return False
             lab = self._is_interior(t)
@@ -263,7 +264,7 @@ class MeshAdaptor(Refiner):
             if a in ring_next:
                 return False  # non-manifold star
             ring_next[a] = b
-            outer[(a, b)] = tri.tri_n[t][i]
+            outer[(a, b)] = arr.tn[3 * t + i]
         start = min(ring_next)
         ring = [start]
         while True:
@@ -276,7 +277,7 @@ class MeshAdaptor(Refiner):
         if len(ring) != len(star):
             return False
 
-        pts = tri.pts
+        point = arr.point
         poly = list(ring)
         new_tris: List[Tuple[int, int, int]] = []
         guard = 0
@@ -288,14 +289,14 @@ class MeshAdaptor(Refiner):
             clipped = False
             for i in range(n):
                 a, b, c = poly[i - 1], poly[i], poly[(i + 1) % n]
-                pa, pb, pc = pts[a], pts[b], pts[c]
+                pa, pb, pc = point(a), point(b), point(c)
                 if orient2d(pa, pb, pc) <= 0:
                     continue
                 ok = True
                 for w in poly:
                     if w in (a, b, c):
                         continue
-                    pw = pts[w]
+                    pw = point(w)
                     if (orient2d(pa, pb, pw) >= 0
                             and orient2d(pb, pc, pw) >= 0
                             and orient2d(pc, pa, pw) >= 0):
@@ -309,7 +310,7 @@ class MeshAdaptor(Refiner):
             if not clipped:
                 return False
         a, b, c = poly
-        if orient2d(pts[a], pts[b], pts[c]) <= 0:
+        if orient2d(point(a), point(b), point(c)) <= 0:
             return False
         new_tris.append((a, b, c))
 
@@ -325,7 +326,7 @@ class MeshAdaptor(Refiner):
         for t in created:
             for k in range(3):
                 emap[tri._edge(t, k)] = (t, k)
-        tn = tri._arr.tn
+        tn = arr.tn
         for (eu, ev), (t, k) in sorted(emap.items()):
             rev = emap.get((ev, eu))
             if rev is not None:
@@ -335,7 +336,7 @@ class MeshAdaptor(Refiner):
             tn[3 * t + k] = nb
             if nb >= 0:
                 tn[3 * nb + tri._edge_index(nb, ev, eu)] = t
-        tri.vertex_tri[v] = -1
+        arr.vt[v] = -1
         return True
 
     def flip_edge(self, u: int, v: int) -> bool:
@@ -348,11 +349,11 @@ class MeshAdaptor(Refiner):
         t1 = self._find_any_edge_triangle(u, v)
         if t1 is None or tri.is_ghost(t1):
             return False
-        tv = tri.tri_v[t1]
+        tv = tri._arr.triangle(t1)
         k1 = next((k for k in range(3) if tv[k] not in (u, v)), None)
         if k1 is None:
             return False
-        t2 = tri.tri_n[t1][k1]
+        t2 = tri._arr.tn[3 * t1 + k1]
         if t2 < 0 or tri.is_ghost(t2):
             return False
         if self._is_interior(t1) != self._is_interior(t2):
@@ -408,7 +409,7 @@ class MeshAdaptor(Refiner):
                 done += 1
                 # Whichever endpoint vanished no longer owns a triangle.
                 for w in (u, v):
-                    if self.tri.vertex_tri[w] < 0:
+                    if self.tri._arr.vt[w] < 0:
                         removed.add(w)
         return done
 
@@ -417,8 +418,8 @@ class MeshAdaptor(Refiner):
         """Metric shape quality in [0, 1]; 1 = metric-equilateral."""
         from ..metric import tensor as _mt
 
-        pts = self.tri.pts
-        pa, pb, pc = pts[a], pts[b], pts[c]
+        point = self.tri._arr.point
+        pa, pb, pc = point(a), point(b), point(c)
         area = 0.5 * ((pb[0] - pa[0]) * (pc[1] - pa[1])
                       - (pb[1] - pa[1]) * (pc[0] - pa[0]))
         if area <= 0.0:
@@ -443,6 +444,7 @@ class MeshAdaptor(Refiner):
         """Anisotropic Lawson sweeps: flip while the worst metric quality
         of an edge's two triangles improves."""
         tri = self.tri
+        arr = tri._arr
         total = 0
         for _ in range(max_sweeps):
             tensors = self._vertex_tensors()
@@ -454,15 +456,15 @@ class MeshAdaptor(Refiner):
                 t1 = self._find_any_edge_triangle(u, v)
                 if t1 is None or tri.is_ghost(t1):
                     continue
-                tv = tri.tri_v[t1]
+                tv = arr.triangle(t1)
                 k1 = next((k for k in range(3) if tv[k] not in (u, v)), None)
                 if k1 is None:
                     continue
                 a = tv[k1]
-                t2 = tri.tri_n[t1][k1]
+                t2 = arr.tn[3 * t1 + k1]
                 if t2 < 0 or tri.is_ghost(t2):
                     continue
-                tv2 = tri.tri_v[t2]
+                tv2 = arr.triangle(t2)
                 b = next((w for w in tv2 if w not in (u, v)), None)
                 if b is None or b == GHOST:
                     continue
@@ -488,10 +490,10 @@ class MeshAdaptor(Refiner):
         protected = self._protected_vertices()
         arr = tri._arr
         px = arr.px
+        point = arr.point
         moves = 0
-        n_pts = len(tri.pts)
-        for v in range(n_pts):
-            if v in protected or tri.vertex_tri[v] < 0:
+        for v in range(arr.n_pts):
+            if v in protected or arr.vt[v] < 0:
                 continue
             star = tri.triangles_around_vertex(v)
             if not star:
@@ -499,7 +501,7 @@ class MeshAdaptor(Refiner):
             ok = True
             neighbours: set = set()
             for t in star:
-                tv = tri.tri_v[t]
+                tv = arr.triangle(t)
                 if tv is None or GHOST in tv or not self._is_interior(t):
                     ok = False
                     break
@@ -509,8 +511,8 @@ class MeshAdaptor(Refiner):
             if not ok or len(neighbours) < 3:
                 continue
             nbr = sorted(neighbours)
-            pv = np.array(tri.pts[v])
-            npts = np.array([tri.pts[w] for w in nbr])
+            pv = np.array(point(v))
+            npts = arr.pts[nbr]
             vecs = npts - pv[None, :]
             m_edge = 0.5 * (np.repeat(tensors[v][None, :], len(nbr), axis=0)
                             + tensors[nbr])
@@ -529,9 +531,9 @@ class MeshAdaptor(Refiner):
                 px[2 * v + 1] = ny
                 valid = True
                 for t in star:
-                    tv = tri.tri_v[t]
-                    if orient2d(tri.pts[tv[0]], tri.pts[tv[1]],
-                                tri.pts[tv[2]]) <= 0:
+                    tv = arr.triangle(t)
+                    if orient2d(point(tv[0]), point(tv[1]),
+                                point(tv[2])) <= 0:
                         valid = False
                         break
                 if valid:

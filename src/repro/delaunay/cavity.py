@@ -153,6 +153,8 @@ def walk_start(tri, px: float, py: float, hint: int) -> int:
 def locate_ref(tri, p: Tuple[float, float], hint: int) -> int:
     """Scalar-predicate walk (the reference / seed hot path)."""
     t = walk_start(tri, p[0], p[1], hint)
+    arr = tri._arr
+    point = arr.point
     max_steps = 4 * (tri.n_live_triangles + 8)
     steps = 0
     prev = -1
@@ -161,17 +163,16 @@ def locate_ref(tri, p: Tuple[float, float], hint: int) -> int:
         if tri.is_ghost(t):
             # Walked off the hull; check this ghost's half-plane.
             u, v = tri.ghost_edge(t)
-            if orient2d(tri.pts[u], tri.pts[v], p) >= 0:
+            if orient2d(point(u), point(v), p) >= 0:
                 tri._last_tri = t
                 tri._note_walk(steps)
                 return t
             # p visible from a different hull edge: walk along the hull.
             # Move to the next ghost sharing vertex v or u.
-            tv = tri.tri_v[t]
-            g = tv.index(GHOST)
-            nxt = tri.tri_n[t][g - 2]  # neighbour across (v, G)
+            g = arr.triangle(t).index(GHOST)
+            nxt = arr.tn[3 * t + _NXT[g]]  # neighbour across (v, G)
             if nxt == prev:
-                nxt = tri.tri_n[t][g - 1]
+                nxt = arr.tn[3 * t + _PRV[g]]
             prev, t = t, nxt
             continue
         moved = False
@@ -183,10 +184,11 @@ def locate_ref(tri, p: Tuple[float, float], hint: int) -> int:
         for dk in range(3):
             k = (k0 + dk) % 3
             u, v = tri._edge(t, k)
-            if tri.tri_n[t][k] == prev:
+            nb = arr.tn[3 * t + k]
+            if nb == prev:
                 continue
-            if orient2d(tri.pts[u], tri.pts[v], p) < 0:
-                prev, t = t, tri.tri_n[t][k]
+            if orient2d(point(u), point(v), p) < 0:
+                prev, t = t, nb
                 moved = True
                 break
         if not moved:
@@ -299,12 +301,13 @@ def locate_fast(tri, p: Tuple[float, float], hint: int) -> int:
 def locate_fallback(tri, p: Tuple[float, float]) -> int:
     """Exhaustive exact containment scan (adversarial degeneracies)."""
     tri.stat_brute_locates += 1
+    point = tri._arr.point
     for t in tri.live_triangles():
         if tri.is_ghost(t):
             continue
-        tv = tri.tri_v[t]
+        tv = tri._arr.triangle(t)
         if all(
-            orient2d(tri.pts[tv[k - 2]], tri.pts[tv[k - 1]], p) >= 0
+            orient2d(point(tv[k - 2]), point(tv[k - 1]), p) >= 0
             for k in range(3)
         ):
             tri._last_tri = t
@@ -323,8 +326,9 @@ def find_directed_edge(tri, u: int, v: int) -> Optional[Tuple[int, int]]:
     Shared by segment recovery (:mod:`repro.delaunay.constrained`) and
     refinement — previously each carried a private copy of this scan.
     """
+    row = tri._arr.triangle
     for t in tri.triangles_around_vertex(u):
-        tv = tri.tri_v[t]
+        tv = row(t)
         for k in range(3):
             if tv[(k + 1) % 3] == u and tv[(k + 2) % 3] == v:
                 return t, k
@@ -341,10 +345,11 @@ def carve_cavity_ref(tri, p: Tuple[float, float], t0: int
     stack = [t0]
     blocked = False
     constraints = tri.constraints
+    tn = tri._arr.tn
     while stack:
         t = stack.pop()
         for k in range(3):
-            nb = tri.tri_n[t][k]
+            nb = tn[3 * t + k]
             if nb < 0 or nb in cavity:
                 continue
             u, v = tri._edge(t, k)
@@ -371,9 +376,10 @@ def carve_cavity_fast(tri, p: Tuple[float, float], t0: int
     triangles whose open circumdisk contains ``p``, independent of
     traversal order.
     """
-    tri_v = tri.tri_v
-    tri_n = tri.tri_n
-    pts = tri.pts
+    arr = tri._arr
+    tvm = arr.tv
+    tnm = arr.tn
+    point = arr.point
     constraints = tri.constraints
     px, py = p
     cavity: Set[int] = {t0}
@@ -383,15 +389,14 @@ def carve_cavity_fast(tri, p: Tuple[float, float], t0: int
     while frontier:
         cand: List[int] = []
         for t in frontier:
-            tv = tri_v[t]
-            tn = tri_n[t]
+            i3 = 3 * t
             for k in range(3):
-                nb = tn[k]
+                nb = tnm[i3 + k]
                 if nb < 0 or nb in cavity:
                     continue
                 if constraints:
-                    u = tv[k - 2]
-                    v = tv[k - 1]
+                    u = tvm[i3 + _NXT[k]]
+                    v = tvm[i3 + _PRV[k]]
                     if u >= 0 and v >= 0:
                         key = (u, v) if u < v else (v, u)
                         if key in constraints:
@@ -407,10 +412,10 @@ def carve_cavity_fast(tri, p: Tuple[float, float], t0: int
         for nb in cand:
             if nb in cavity:
                 continue  # added via a sibling this level
-            tv = tri_v[nb]
-            a = tv[0]
-            b = tv[1]
-            c = tv[2]
+            i3 = 3 * nb
+            a = tvm[i3]
+            b = tvm[i3 + 1]
+            c = tvm[i3 + 2]
             if a < 0 or b < 0 or c < 0:
                 if tri._in_disk_fast(nb, px, py):
                     cavity.add(nb)
@@ -418,9 +423,9 @@ def carve_cavity_fast(tri, p: Tuple[float, float], t0: int
                 continue
             # Inlined incircle filter (matches the scalar predicate's
             # first stage); only inconclusive signs leave this loop.
-            ax, ay = pts[a]
-            bx, by = pts[b]
-            cx, cy = pts[c]
+            ax, ay = point(a)
+            bx, by = point(b)
+            cx, cy = point(c)
             adx = ax - px
             ady = ay - py
             bdx = bx - px
@@ -452,7 +457,7 @@ def carve_cavity_fast(tri, p: Tuple[float, float], t0: int
                     n_icc_fast += 1
                     continue
             tri.stat_incircle_exact += 1
-            if incircle(pts[a], pts[b], pts[c], (px, py)) > 0:
+            if incircle(point(a), point(b), point(c), (px, py)) > 0:
                 cavity.add(nb)
                 frontier.append(nb)
     tri.stat_incircle_fast += n_icc_fast
@@ -853,7 +858,7 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int,
     # retriangulation.  Detect the configuration and prune cavity
     # triangles whose centroid is not visible from p.
     if tri.constraints:
-        p = tri.pts[vid]
+        p = arr.point(vid)
         wrapped_edge = False
         for t in cavity:
             i3 = 3 * t
@@ -990,9 +995,11 @@ def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
     """
     from ..geometry.primitives import segments_intersect
 
+    arr = tri._arr
+    point = arr.point
     constr: Set[Tuple[int, int]] = set()
     for t in cavity:
-        tv = tri.tri_v[t]
+        tv = arr.triangle(t)
         for k in range(3):
             u, v = tv[k - 2], tv[k - 1]
             if u == GHOST or v == GHOST:
@@ -1004,17 +1011,17 @@ def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
         return cavity
 
     def visible(t: int) -> bool:
-        tv = tri.tri_v[t]
+        tv = arr.triangle(t)
         if GHOST in tv:
-            reals = [tri.pts[w] for w in tv if w != GHOST]
+            reals = [point(w) for w in tv if w != GHOST]
             cx = sum(q[0] for q in reals) / len(reals)
             cy = sum(q[1] for q in reals) / len(reals)
         else:
-            cx = sum(tri.pts[w][0] for w in tv) / 3.0
-            cy = sum(tri.pts[w][1] for w in tv) / 3.0
+            cx = sum(point(w)[0] for w in tv) / 3.0
+            cy = sum(point(w)[1] for w in tv) / 3.0
         for (u, v) in constr:
-            if segments_intersect(p, (cx, cy), tri.pts[u],
-                                  tri.pts[v], proper_only=True):
+            if segments_intersect(p, (cx, cy), point(u),
+                                  point(v), proper_only=True):
                 return False
         return True
 
@@ -1026,7 +1033,7 @@ def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
     while stack:
         t = stack.pop()
         for k in range(3):
-            nb = tri.tri_n[t][k]
+            nb = arr.tn[3 * t + k]
             if nb not in kept or nb in comp:
                 continue
             u, v = tri._edge(t, k)

@@ -45,9 +45,10 @@ paths index the buffers through cached flat :class:`memoryview` casts
 (faster than list-of-lists on CPython and zero-copy into the arrays);
 batch paths (``cavity.expand_level_batch``, grid builds) fancy-index
 the same arrays at C speed; :meth:`to_mesh` is a vectorised compaction whose
-point block can be a zero-copy view.  ``pts`` / ``tri_v`` / ``tri_n`` /
-``vertex_tri`` remain available as read-compatible sequence views for
-consumers and tests.
+point block can be a zero-copy view.  ``Triangulation._arr`` is the one
+read API: code outside the hot loops (refinement, segment recovery,
+adaptation, tests) reads it through ``point`` / ``triangle`` /
+``is_dead`` and ``tn`` / ``vt``; whole-array reads slice ``pts[:n_pts]``.
 """
 
 from __future__ import annotations
@@ -95,126 +96,6 @@ __all__ = [
 ]
 
 
-class _PointsView:
-    """Read-only sequence view of the SoA coordinates: ``pts[v] == (x, y)``.
-
-    Behaves like the historical list of tuples for reading, length,
-    iteration and equality; mutation goes through the kernel only.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, arr: MeshArrays) -> None:
-        self._a = arr
-
-    def __len__(self) -> int:
-        return self._a.n_pts
-
-    def __getitem__(self, v: int) -> Tuple[float, float]:
-        a = self._a
-        n = a.n_pts
-        if v < 0:
-            v += n
-        if not 0 <= v < n:
-            raise IndexError(f"point index {v} out of range")
-        px = a.px
-        j = 2 * v
-        return (px[j], px[j + 1])
-
-    def __iter__(self):
-        px = self._a.px
-        for v in range(self._a.n_pts):
-            j = 2 * v
-            yield (px[j], px[j + 1])
-
-    def __eq__(self, other) -> bool:
-        try:
-            return list(self) == list(other)
-        except TypeError:
-            return NotImplemented
-
-    __hash__ = None
-
-    def __array__(self, dtype=None, copy=None):
-        out = self._a.pts[: self._a.n_pts]
-        if dtype is not None and np.dtype(dtype) != out.dtype:
-            return out.astype(dtype)
-        return np.array(out, copy=True) if copy else out
-
-    def __repr__(self) -> str:
-        return f"_PointsView(n={len(self)})"
-
-
-class _TriRowsView:
-    """Sequence view of a triangle attribute: ``view[t]`` is the 3-list
-    for a live slot or ``None`` for a dead one (the historical contract).
-    """
-
-    __slots__ = ("_a", "_which")
-
-    def __init__(self, arr: MeshArrays, which: str) -> None:
-        self._a = arr
-        self._which = which  # "v" or "n"
-
-    def __len__(self) -> int:
-        return self._a.n_tris
-
-    def __getitem__(self, t: int) -> Optional[List[int]]:
-        a = self._a
-        n = a.n_tris
-        if t < 0:
-            t += n
-        if not 0 <= t < n:
-            raise IndexError(f"triangle index {t} out of range")
-        i = 3 * t
-        if a.tv[i] == DEAD:
-            return None
-        m = a.tv if self._which == "v" else a.tn
-        return [m[i], m[i + 1], m[i + 2]]
-
-    def __iter__(self):
-        for t in range(self._a.n_tris):
-            yield self[t]
-
-    def __eq__(self, other) -> bool:
-        try:
-            return list(self) == list(other)
-        except TypeError:
-            return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"_TriRowsView({self._which!r}, n={len(self)})"
-
-
-class _VertexTriView:
-    """Read/write int sequence view over ``vertex_tri``."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, arr: MeshArrays) -> None:
-        self._a = arr
-
-    def __len__(self) -> int:
-        return self._a.n_pts
-
-    def __getitem__(self, v: int) -> int:
-        if not 0 <= v < self._a.n_pts:
-            raise IndexError(f"vertex index {v} out of range")
-        return self._a.vt[v]
-
-    def __setitem__(self, v: int, t: int) -> None:
-        if not 0 <= v < self._a.n_pts:
-            raise IndexError(f"vertex index {v} out of range")
-        self._a.vt[v] = t
-
-    def __iter__(self):
-        vt = self._a.vt
-        for v in range(self._a.n_pts):
-            yield vt[v]
-
-
 class Triangulation:
     """Mutable 2D Delaunay triangulation under incremental insertion.
 
@@ -239,14 +120,9 @@ class Triangulation:
                  fast_predicates: bool = True) -> None:
         #: SoA storage: coordinates, triangle vertices/neighbours, free
         #: list and per-vertex incident triangle all live here.
+        #: Every reader goes through it: hot loops index the flat
+        #: memoryviews, scalar code the ``point``/``triangle`` accessors.
         self._arr = MeshArrays()
-        # Sequence-compatible views (read path of refine/constrained/dnc
-        # and the test harness); the kernel itself indexes the flat
-        # memoryviews in self._arr on hot paths.
-        self.pts = _PointsView(self._arr)
-        self.tri_v = _TriRowsView(self._arr, "v")
-        self.tri_n = _TriRowsView(self._arr, "n")
-        self.vertex_tri = _VertexTriView(self._arr)
         self._free = self._arr.free
         self.constraints: Set[Tuple[int, int]] = set()
         self._last_tri: int = -1                     # walk hint
@@ -323,7 +199,7 @@ class Triangulation:
 
         Dead-triangle contract (enforced, see :mod:`repro.delaunay.arrays`):
         callers must not ask about recycled slots — check
-        ``MeshArrays.is_dead`` / ``tri_v[t] is None`` first.  Historically
+        ``MeshArrays.is_dead`` / ``triangle(t) is None`` first.  Historically
         this silently returned ``False`` for dead slots, masking stale-id
         bugs under free-list reuse.
         """
@@ -354,7 +230,7 @@ class Triangulation:
             if tv[i + _NXT[k]] == u and tv[i + _PRV[k]] == v:
                 return k
         raise TriangulationError(
-            f"edge ({u},{v}) not in triangle {t}={self.tri_v[t]}")
+            f"edge ({u},{v}) not in triangle {t}={self._arr.triangle(t)}")
 
     def ghost_edge(self, t: int) -> Tuple[int, int]:
         """The real directed hull edge ``(u, v)`` of ghost triangle ``t``."""
@@ -460,11 +336,12 @@ class Triangulation:
         circumdisk — the Bowyer–Watson cavity membership test.  Scalar
         robust path (the reference; hot paths use :meth:`_in_disk_fast`).
         """
-        tv = self.tri_v[t]
+        point = self._arr.point
+        tv = self._arr.triangle(t)
         if GHOST not in tv:
-            return incircle(self.pts[tv[0]], self.pts[tv[1]], self.pts[tv[2]], p) > 0
+            return incircle(point(tv[0]), point(tv[1]), point(tv[2]), p) > 0
         u, v = self.ghost_edge(t)
-        pu, pv = self.pts[u], self.pts[v]
+        pu, pv = point(u), point(v)
         # Ghost [u, v, G]: outside-hull half-plane strictly left of u->v,
         # plus the open edge uv.
         o = orient2d(pu, pv, p)
@@ -591,8 +468,9 @@ class Triangulation:
 
     def find_vertex_at(self, p: Tuple[float, float], t: int) -> Optional[int]:
         """Vertex of triangle ``t`` exactly coincident with ``p``, if any."""
-        for v in self.tri_v[t]:
-            if v != GHOST and self.pts[v] == (p[0], p[1]):
+        arr = self._arr
+        for v in arr.triangle(t):
+            if v != GHOST and arr.point(v) == (p[0], p[1]):
                 return v
         return None
 
@@ -619,7 +497,8 @@ class Triangulation:
             return self._bootstrap_insert(p, on_duplicate)
 
         if self._fast:
-            r = self._insert_fast(p[0], p[1], hint)
+            # Fused walk + carve; ``-2 - v`` flags a duplicate of ``v``.
+            r = insert_point_fast(self, p[0], p[1], hint)
             if r >= 0:
                 return r
             dup = -2 - r
@@ -639,33 +518,27 @@ class Triangulation:
         self._insert_into_cavity(vid, t0)
         return vid
 
-    def _insert_fast(self, px: float, py: float, hint: int) -> int:
-        """Fused fast-path insertion (walk + duplicate check + carve +
-        retriangulate in one frame); see :func:`repro.delaunay.cavity.
-        insert_point_fast`.  Returns the new vertex id, or ``-2 - v``
-        when the point duplicates existing vertex ``v``.
-        """
-        return insert_point_fast(self, px, py, hint)
-
     def _bootstrap_insert(self, p: Tuple[float, float], on_duplicate: str) -> int:
         """Handle insertions before the first real triangle exists."""
-        for i, q in enumerate(self.pts):
-            if q == p:
+        arr = self._arr
+        point = arr.point
+        for i in range(arr.n_pts):
+            if point(i) == p:
                 if on_duplicate == "raise":
                     raise TriangulationError(f"duplicate point {p}")
                 return i
-        self._arr.new_point(p[0], p[1])
+        arr.new_point(p[0], p[1])
         self.stat_inserts += 1
-        if len(self.pts) < 3:
-            return len(self.pts) - 1
+        n = arr.n_pts
+        if n < 3:
+            return n - 1
         # Try to find a non-collinear triple including the newest point.
-        n = len(self.pts)
         c = n - 1
         for a in range(n):
             for b in range(a + 1, n):
                 if b == c or a == c:
                     continue
-                o = orient2d(self.pts[a], self.pts[b], self.pts[c])
+                o = orient2d(point(a), point(b), point(c))
                 if o != 0:
                     if o < 0:
                         a, b = b, a
@@ -674,7 +547,7 @@ class Triangulation:
                     used = {a, b, c}
                     for v in range(n):
                         if v not in used:
-                            t0 = self.locate(self.pts[v])
+                            t0 = self.locate(point(v))
                             self._insert_into_cavity(v, t0)
                     return c
         return c  # all points still collinear
@@ -709,14 +582,14 @@ class Triangulation:
     def _insert_into_cavity(self, vid: int, t0: int) -> None:
         """Bowyer–Watson: carve the cavity of circumdisks containing the new
         point and re-fan from it.  Never crosses constrained edges."""
-        p = self.pts[vid]
+        p = self._arr.point(vid)
         if not self._in_disk_any(t0, p):
             # locate returned a triangle whose closed region holds p but p
             # is on its boundary; at least one adjacent triangle's open
             # disk must contain p. Search neighbours.
             found = None
             for k in range(3):
-                nb = self.tri_n[t0][k]
+                nb = self._arr.tn[3 * t0 + k]
                 if nb >= 0 and self._in_disk_any(nb, p):
                     found = nb
                     break
@@ -741,9 +614,10 @@ class Triangulation:
         """
         from collections import deque
 
+        arr = self._arr
         queue: deque = deque()
         for t in self.triangles_around_vertex(vid):
-            tv = self.tri_v[t]
+            tv = arr.triangle(t)
             if tv is None or GHOST in tv:
                 continue
             i = tv.index(vid)
@@ -762,24 +636,24 @@ class Triangulation:
             # Find the triangle (vid, u, v) if it still exists.
             t1 = None
             for t in self.triangles_around_vertex(vid):
-                tv = self.tri_v[t]
+                tv = arr.triangle(t)
                 if tv is not None and u in tv and v in tv and vid in tv:
                     t1 = t
                     break
             if t1 is None:
                 continue
-            k1 = self.tri_v[t1].index(vid)
-            t2 = self.tri_n[t1][k1]
+            tv1 = arr.triangle(t1)
+            k1 = tv1.index(vid)
+            t2 = arr.tn[3 * t1 + k1]
             if t2 < 0 or self.is_ghost(t2):
                 continue
             uu, vv = self._edge(t1, k1)
             k2 = self._edge_index(t2, vv, uu)
-            w = self.tri_v[t2][k2]
+            w = arr.triangle(t2)[k2]
             if w == GHOST:
                 continue
-            tv1 = self.tri_v[t1]
-            if incircle(self.pts[tv1[0]], self.pts[tv1[1]],
-                        self.pts[tv1[2]], self.pts[w]) > 0:
+            if incircle(arr.point(tv1[0]), arr.point(tv1[1]),
+                        arr.point(tv1[2]), arr.point(w)) > 0:
                 if self.edge_is_flippable(t1, k1):
                     self.flip(t1, k1)
                     queue.append((uu, w))
@@ -889,27 +763,30 @@ class Triangulation:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if (u, v) is currently an edge of the triangulation."""
-        t = self.vertex_tri[u]
-        if t < 0:
+        arr = self._arr
+        if arr.vt[u] < 0:
             return False
         for tt in self.triangles_around_vertex(u):
-            if v in self.tri_v[tt]:
+            if v in arr.triangle(tt):
                 return True
         return False
 
     def triangles_around_vertex(self, v: int) -> List[int]:
         """All live triangles (including ghosts) incident to vertex ``v``."""
-        t0 = self.vertex_tri[v]
-        if t0 < 0 or self.tri_v[t0] is None or v not in self.tri_v[t0]:
+        arr = self._arr
+        row = arr.triangle
+        tn = arr.tn
+        t0 = arr.vt[v]
+        if t0 < 0 or arr.is_dead(t0) or v not in row(t0):
             # Hint is stale; rebuild by scanning (rare).
             t0 = -1
             for t in self.live_triangles():
-                if v in self.tri_v[t]:
+                if v in row(t):
                     t0 = t
                     break
             if t0 < 0:
                 return []
-            self.vertex_tri[v] = t0
+            arr.vt[v] = t0
         out = [t0]
         # Rotate around v using adjacency: in triangle t with v at index i,
         # the next triangle CCW is across edge (i+1)%3 (the edge following... )
@@ -918,8 +795,8 @@ class Triangulation:
         seen = {t0}
         cur = t0
         while True:
-            i = self.tri_v[cur].index(v)
-            nxt = self.tri_n[cur][i - 2]
+            i = row(cur).index(v)
+            nxt = tn[3 * cur + _NXT[i]]
             if nxt < 0 or nxt in seen:
                 break
             seen.add(nxt)
@@ -927,8 +804,8 @@ class Triangulation:
             cur = nxt
         cur = t0
         while True:
-            i = self.tri_v[cur].index(v)
-            nxt = self.tri_n[cur][i - 1]
+            i = row(cur).index(v)
+            nxt = tn[3 * cur + _PRV[i]]
             if nxt < 0 or nxt in seen:
                 break
             seen.add(nxt)
@@ -977,23 +854,26 @@ class Triangulation:
     # ------------------------------------------------------------------
     def check_integrity(self) -> None:
         """Assert adjacency symmetry and positive orientation everywhere."""
+        arr = self._arr
+        point = arr.point
+        tn = arr.tn
         for t in self.live_triangles():
-            tv = self.tri_v[t]
+            tv = arr.triangle(t)
             if GHOST not in tv:
-                o = orient2d(self.pts[tv[0]], self.pts[tv[1]], self.pts[tv[2]])
+                o = orient2d(point(tv[0]), point(tv[1]), point(tv[2]))
                 if o <= 0:
                     raise TriangulationError(f"triangle {t}={tv} not CCW ({o})")
             for k in range(3):
-                nb = self.tri_n[t][k]
+                nb = tn[3 * t + k]
                 if nb < 0:
                     if self.n_live_triangles > 1:
                         raise TriangulationError(f"triangle {t} edge {k} unlinked")
                     continue
-                if self.tri_v[nb] is None:
+                if arr.is_dead(nb):
                     raise TriangulationError(f"{t} links dead triangle {nb}")
                 u, v = self._edge(t, k)
                 kk = self._edge_index(nb, v, u)
-                if self.tri_n[nb][kk] != t:
+                if tn[3 * nb + kk] != t:
                     raise TriangulationError(f"asymmetric adjacency {t}<->{nb}")
 
 
@@ -1053,7 +933,7 @@ def delaunay_mesh(points: np.ndarray, *, assume_sorted: bool = False,
         (inv[a], inv[b], inv[c])
         for t in tri.live_triangles()
         if not tri.is_ghost(t)
-        for (a, b, c) in (tri.tri_v[t],)
+        for (a, b, c) in (tri._arr.triangle(t),)
     ]
     tarr = (np.asarray(tris, dtype=np.int32)
             if tris else np.empty((0, 3), dtype=np.int32))

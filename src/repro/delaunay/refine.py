@@ -259,6 +259,8 @@ class Refiner:
         from ..geometry.predicates import orient2d
 
         tri = self.tri
+        arr = tri._arr
+        point = arr.point
         loc = self._find_any_edge_triangle(u, v)
         if loc is None:
             raise TriangulationError(f"segment ({u},{v}) is not an edge")
@@ -268,23 +270,23 @@ class Refiner:
         # cavity swallows every pre-existing triangle of a region.
         label_side = {}
         for t in tri.triangles_around_vertex(u):
-            tv = tri.tri_v[t]
+            tv = arr.triangle(t)
             if tv is None or v not in tv or tri.is_ghost(t):
                 continue
             w = next(w for w in tv if w not in (u, v))
             if w == GHOST:
                 continue
-            side = orient2d(tri.pts[u], tri.pts[v], tri.pts[w])
+            side = orient2d(point(u), point(v), point(w))
             if side != 0:
                 label_side[side] = self._is_interior(t)
-        pu, pv = tri.pts[u], tri.pts[v]
+        pu, pv = point(u), point(v)
 
         tri.unmark_constraint(u, v)
         vid = self._insert_tracked(x, y, interior_hint=loc)
         tri.mark_constraint(u, vid)
         tri.mark_constraint(vid, v)
 
-        created = [t for t in tri.last_created if tri.tri_v[t] is not None]
+        created = [t for t in tri.last_created if not arr.is_dead(t)]
         created_set = set(created)
         for t in created:
             if tri.is_ghost(t):
@@ -294,12 +296,12 @@ class Refiner:
         for t in created:
             if tri.is_ghost(t):
                 continue
-            tv = tri.tri_v[t]
+            tv = arr.triangle(t)
             # Adjacent to a new subsegment: side-of-line is valid here.
             if (u in tv or v in tv) and vid in tv:
                 w = next((w for w in tv if w not in (u, v, vid)), None)
                 if w is not None:
-                    side = orient2d(pu, pv, tri.pts[w])
+                    side = orient2d(pu, pv, point(w))
                     if side != 0 and side in label_side:
                         seeded[t] = label_side[side]
                         self._interior[t] = label_side[side]
@@ -325,7 +327,7 @@ class Refiner:
                         key = (e_u, e_v) if e_u < e_v else (e_v, e_u)
                         if key in tri.constraints:
                             continue  # labels do not cross constraints
-                    nb = tri.tri_n[t][k]
+                    nb = arr.tn[3 * t + k]
                     if nb < 0:
                         continue
                     if tri.is_ghost(nb):
@@ -370,14 +372,16 @@ class Refiner:
     # ------------------------------------------------------------------
     def _encroached_by(self, u: int, v: int, w: int) -> bool:
         """Vertex ``w`` strictly inside the diametral circle of (u, v)?"""
-        pu, pv, pw = self.tri.pts[u], self.tri.pts[v], self.tri.pts[w]
+        point = self.tri._arr.point
+        pu, pv, pw = point(u), point(v), point(w)
         # Angle at w subtending uv > 90 deg  <=>  (u-w).(v-w) < 0.
         return ((pu[0] - pw[0]) * (pv[0] - pw[0])
                 + (pu[1] - pw[1]) * (pv[1] - pw[1])) < 0.0
 
     def _encroached_by_point(self, u: int, v: int, p: Tuple[float, float]
                              ) -> bool:
-        pu, pv = self.tri.pts[u], self.tri.pts[v]
+        point = self.tri._arr.point
+        pu, pv = point(u), point(v)
         return ((pu[0] - p[0]) * (pv[0] - p[0])
                 + (pu[1] - p[1]) * (pv[1] - p[1])) < 0.0
 
@@ -391,7 +395,7 @@ class Refiner:
             return False
         tri = self.tri
         for t in tri.triangles_around_vertex(u):
-            tv = tri.tri_v[t]
+            tv = tri._arr.triangle(t)
             if v not in tv or tri.is_ghost(t):
                 continue
             w = next(w for w in tv if w not in (u, v))
@@ -404,11 +408,11 @@ class Refiner:
     # ------------------------------------------------------------------
     def _triangle_bad(self, t: int) -> Optional[str]:
         """Return "quality"/"size" when triangle ``t`` needs refinement."""
-        tri = self.tri
-        tv = tri.tri_v[t]
+        arr = self.tri._arr
+        tv = arr.triangle(t)
         if tv is None or GHOST in tv or not self._is_interior(t):
             return None
-        pa, pb, pc = (tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]])
+        pa, pb, pc = (arr.point(tv[0]), arr.point(tv[1]), arr.point(tv[2]))
         la = distance(pb, pc)
         lb = distance(pa, pc)
         lc = distance(pa, pb)
@@ -460,7 +464,7 @@ class Refiner:
         while True:
             while work:
                 t = work.popleft()
-                if self.tri.tri_v[t] is None:
+                if self.tri._arr.is_dead(t):
                     continue
                 reason = self._triangle_bad(t)
                 if reason is None:
@@ -484,14 +488,16 @@ class Refiner:
                 sink.incr("locked_segment_skips", self.locked_skips)
 
     def _split_segment(self, u: int, v: int) -> int:
-        pu, pv = self.tri.pts[u], self.tri.pts[v]
+        point = self.tri._arr.point
+        pu, pv = point(u), point(v)
         mx, my = 0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])
         return self._insert_on_segment(u, v, mx, my)
 
     def _process_bad_triangle(self, t: int, work: deque) -> None:
         tri = self.tri
-        tv = tri.tri_v[t]
-        pa, pb, pc = (tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]])
+        arr = tri._arr
+        tv = arr.triangle(t)
+        pa, pb, pc = (arr.point(tv[0]), arr.point(tv[1]), arr.point(tv[2]))
         try:
             cc = circumcenter(pa, pb, pc)
         except ValueError:
@@ -544,7 +550,8 @@ class Refiner:
             return False
         if not self.min_edge_floor:
             return True
-        return distance(self.tri.pts[u], self.tri.pts[v]) > 2.0 * self.min_edge_floor
+        point = self.tri._arr.point
+        return distance(point(u), point(v)) > 2.0 * self.min_edge_floor
 
     def _requeue_around_vertex(self, vid: int, work: deque) -> None:
         for t in self.tri.triangles_around_vertex(vid):
@@ -559,8 +566,10 @@ class Refiner:
         from ..geometry.primitives import segments_intersect
 
         tri = self.tri
-        tv = tri.tri_v[t]
-        pa, pb, pc = (tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]])
+        arr = tri._arr
+        point = arr.point
+        tv = arr.triangle(t)
+        pa, pb, pc = (point(tv[0]), point(tv[1]), point(tv[2]))
         start = ((pa[0] + pb[0] + pc[0]) / 3.0, (pa[1] + pb[1] + pc[1]) / 3.0)
         cur = t
         guard = 0
@@ -569,13 +578,13 @@ class Refiner:
             guard += 1
             if guard > 4 * (tri.n_live_triangles + 8):
                 return None
-            tv = tri.tri_v[cur]
+            tv = arr.triangle(cur)
             if tv is None or GHOST in tv:
                 return None
             # Does cc lie in cur?
             inside = all(
-                orient2d(tri.pts[tv[(k + 1) % 3]],
-                         tri.pts[tv[(k + 2) % 3]], cc) >= 0
+                orient2d(point(tv[(k + 1) % 3]),
+                         point(tv[(k + 2) % 3]), cc) >= 0
                 for k in range(3)
             )
             if inside:
@@ -585,14 +594,14 @@ class Refiner:
                 u, v = tri._edge(cur, k)
                 if u == GHOST or v == GHOST:
                     continue
-                pu, pv = tri.pts[u], tri.pts[v]
+                pu, pv = point(u), point(v)
                 if orient2d(pu, pv, cc) < 0 and segments_intersect(
                     start, cc, pu, pv
                 ):
                     key = (u, v) if u < v else (v, u)
                     if key in tri.constraints:
                         return (u, v)
-                    nxt = tri.tri_n[cur][k]
+                    nxt = arr.tn[3 * cur + k]
                     if nxt < 0 or nxt in visited:
                         continue
                     visited.add(nxt)
@@ -606,6 +615,7 @@ class Refiner:
                                   ) -> List[Tuple[int, int]]:
         """Constrained edges of the would-be cavity that ``cc`` encroaches."""
         tri = self.tri
+        tn = tri._arr.tn
         out: List[Tuple[int, int]] = []
         # Breadth-limited sweep over the cavity that cc's insertion would
         # carve (constraint-respecting), checking its constrained border.
@@ -614,7 +624,7 @@ class Refiner:
         while stack:
             t = stack.pop()
             for k in range(3):
-                nb = tri.tri_n[t][k]
+                nb = tn[3 * t + k]
                 u, v = tri._edge(t, k)
                 is_constr = False
                 if u != GHOST and v != GHOST:

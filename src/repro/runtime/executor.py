@@ -83,9 +83,6 @@ __all__ = [
 #: (used by CI to drive the whole test pyramid through one backend).
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: idle-worker time-to-live override, seconds (``REPRO_POOL_TTL``).
-POOL_TTL_ENV = "REPRO_POOL_TTL"
-
 #: default seconds an idle pool worker survives before being reaped.
 DEFAULT_POOL_TTL = 300.0
 
@@ -937,12 +934,6 @@ class ProcessesBackend:
     def pool_ttl(self) -> float:
         if self._ttl is not None:
             return float(self._ttl)
-        raw = os.environ.get(POOL_TTL_ENV)
-        if raw:
-            try:
-                return float(raw)
-            except ValueError:
-                pass
         return DEFAULT_POOL_TTL
 
     def _get_pool(self) -> WorkerPool:

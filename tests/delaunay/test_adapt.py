@@ -45,11 +45,12 @@ def square_mesh(max_area=0.02):
 
 def assert_no_inversion(tri):
     for t in tri.live_triangles():
-        tv = tri.tri_v[t]
+        tv = tri._arr.triangle(t)
         if tv is None or GHOST in tv:
             continue
         a, b, c = tv
-        assert orient2d(tri.pts[a], tri.pts[b], tri.pts[c]) > 0
+        point = tri._arr.point
+        assert orient2d(point(a), point(b), point(c)) > 0
 
 
 def assert_segments_survive(mesh, segments, original_points):

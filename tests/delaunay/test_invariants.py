@@ -42,9 +42,10 @@ def real_triangles(tri: Triangulation):
 
 
 def assert_positive_orientation(tri: Triangulation) -> None:
+    point = tri._arr.point
     for t in real_triangles(tri):
-        a, b, c = tri.tri_v[t]
-        assert orient2d(tri.pts[a], tri.pts[b], tri.pts[c]) > 0, (
+        a, b, c = tri._arr.triangle(t)
+        assert orient2d(point(a), point(b), point(c)) > 0, (
             f"triangle {t} not positively oriented"
         )
 
@@ -55,22 +56,22 @@ def assert_locally_delaunay(tri: Triangulation) -> None:
     By the Delaunay lemma this implies the global (constrained) Delaunay
     property; cocircular configurations (incircle == 0) are legal.
     """
-    pts = tri.pts
+    arr = tri._arr
+    point = arr.point
     constraints = tri.constraints
     for t in real_triangles(tri):
-        tv = tri.tri_v[t]
-        tn = tri.tri_n[t]
+        tv = arr.triangle(t)
         for k in range(3):
-            nb = tn[k]
+            nb = arr.tn[3 * t + k]
             if nb < t or tri.is_ghost(nb):
                 continue  # each internal edge once; hull edges skipped
             u, v = tv[k - 2], tv[k - 1]
             if ((u, v) if u < v else (v, u)) in constraints:
                 continue
-            nv = tri.tri_v[nb]
+            nv = arr.triangle(nb)
             apex = nv[0] + nv[1] + nv[2] - u - v
-            assert incircle(pts[tv[0]], pts[tv[1]], pts[tv[2]],
-                            pts[apex]) <= 0, (
+            assert incircle(point(tv[0]), point(tv[1]), point(tv[2]),
+                            point(apex)) <= 0, (
                 f"edge ({u},{v}) of triangle {t} not locally Delaunay"
             )
 
@@ -80,14 +81,15 @@ def assert_globally_delaunay(tri: Triangulation) -> None:
 
     O(n_vertices * n_triangles) exact tests — small inputs only.
     """
-    pts = tri.pts
+    arr = tri._arr
+    point = arr.point
     for t in real_triangles(tri):
-        a, b, c = tri.tri_v[t]
-        pa, pb, pc = pts[a], pts[b], pts[c]
-        for v in range(len(pts)):
+        a, b, c = arr.triangle(t)
+        pa, pb, pc = point(a), point(b), point(c)
+        for v in range(arr.n_pts):
             if v == a or v == b or v == c:
                 continue
-            assert incircle(pa, pb, pc, pts[v]) <= 0, (
+            assert incircle(pa, pb, pc, point(v)) <= 0, (
                 f"vertex {v} strictly inside circumcircle of triangle {t}"
             )
 
@@ -107,6 +109,12 @@ def assert_invariants(tri: Triangulation, *, exhaustive: bool = False
         assert_globally_delaunay(tri)
 
 
+def live_rows(tri: Triangulation):
+    """Vertex rows of every live slot (ghosts included), in slot order."""
+    arr = tri._arr
+    return [arr.triangle(t) for t in range(arr.n_tris) if not arr.is_dead(t)]
+
+
 def canonical_triangles(tri: Triangulation):
     """Rotation-normalised real triangle set, keyed by *coordinates*.
 
@@ -117,7 +125,7 @@ def canonical_triangles(tri: Triangulation):
     out = set()
     for t in real_triangles(tri):
         keys = sorted((float(coords[v, 0]), float(coords[v, 1]))
-                      for v in tri.tri_v[t])
+                      for v in tri._arr.triangle(t))
         out.add(tuple(keys))
     return out
 
@@ -240,8 +248,7 @@ class TestDeterminism:
         pts = np.random.default_rng(14).random((200, 2))
         a = triangulate(pts, seed=1)
         b = triangulate(pts, seed=1)
-        assert [tuple(v) for v in a.tri_v if v] == \
-               [tuple(v) for v in b.tri_v if v]
+        assert live_rows(a) == live_rows(b)
 
     def test_insert_point_stream_deterministic(self):
         pts = np.random.default_rng(15).random((300, 2)).tolist()
@@ -253,5 +260,7 @@ class TestDeterminism:
             return tri
 
         t1, t2 = build(), build()
-        assert t1.pts == t2.pts
-        assert [v for v in t1.tri_v if v] == [v for v in t2.tri_v if v]
+        a1, a2 = t1._arr, t2._arr
+        assert a1.n_pts == a2.n_pts
+        assert a1.pts[:a1.n_pts].tobytes() == a2.pts[:a2.n_pts].tobytes()
+        assert live_rows(t1) == live_rows(t2)

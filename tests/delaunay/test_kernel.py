@@ -251,7 +251,7 @@ class TestVertexStar:
         real = [s for s in star if not t.is_ghost(s)]
         assert len(real) == 4
         for s in star:
-            assert vid in t.tri_v[s]
+            assert vid in t._arr.triangle(s)
 
     def test_star_of_hull_vertex_includes_ghosts(self):
         t = Triangulation()

@@ -34,6 +34,8 @@ from repro.runtime.service import (
     read_frame,
 )
 
+from .test_service_soak import _suspended
+
 
 def _buffers(tag, n=16):
     return {"x": np.full(n, float(tag)), "tag": np.asarray([float(tag)])}
@@ -353,44 +355,45 @@ def test_shutdown_aborts_inflight_batch_via_epoch_fence(tmp_path):
     epoch fence and return clean error frames to every pending client
     — not wait out the whole batch, not hang, not leak workers."""
     del _SLOW_CALLS[:]
-    svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="processes",
-                      n_ranks=2, batch_window=0.05, max_batch=8,
-                      work_fn=_slow_counted_item, cost_fn=_unit_cost)
-    thread = ServiceThread(svc)
-    endpoint = thread.start()
-    errors = {}
-    oks = {}
+    with _suspended():
+        svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="processes",
+                          n_ranks=2, batch_window=0.05, max_batch=8,
+                          work_fn=_slow_counted_item, cost_fn=_unit_cost)
+        thread = ServiceThread(svc)
+        endpoint = thread.start()
+        errors = {}
+        oks = {}
 
-    def run(tag):
-        try:
-            with ServiceClient(endpoint) as client:
-                payload = _buffers(tag)
-                payload["delay"] = np.asarray([4.0])
-                oks[tag] = client.submit_packed(payload)[0]
-        except ServiceError as exc:
-            errors[tag] = str(exc)
+        def run(tag):
+            try:
+                with ServiceClient(endpoint) as client:
+                    payload = _buffers(tag)
+                    payload["delay"] = np.asarray([4.0])
+                    oks[tag] = client.submit_packed(payload)[0]
+            except ServiceError as exc:
+                errors[tag] = str(exc)
 
-    clients = [threading.Thread(target=run, args=(float(i),))
-               for i in range(4)]
-    for t in clients:
-        t.start()
-    deadline = monotonic() + 20.0
-    while svc.stats()["batches"] < 1.0 and monotonic() < deadline:
-        time.sleep(0.02)
-    time.sleep(0.3)  # let the pool actually dispatch the first items
-    t0 = monotonic()
-    thread.stop()
-    stop_elapsed = monotonic() - t0
-    for t in clients:
-        t.join(timeout=30)
-    # All four clients got error frames, not hung sockets; the two
-    # undispatched items were dropped at the fence, so shutdown is
-    # bounded by one in-flight item (4s), not the whole batch (8s).
-    assert not oks
-    assert sorted(errors) == [0.0, 1.0, 2.0, 3.0]
-    assert all("abort" in msg or "shutting down" in msg
-               for msg in errors.values())
-    assert stop_elapsed < 7.0
+        clients = [threading.Thread(target=run, args=(float(i),))
+                   for i in range(4)]
+        for t in clients:
+            t.start()
+        deadline = monotonic() + 20.0
+        while svc.stats()["batches"] < 1.0 and monotonic() < deadline:
+            time.sleep(0.02)
+        time.sleep(0.3)  # let the pool actually dispatch the first items
+        t0 = monotonic()
+        thread.stop()
+        stop_elapsed = monotonic() - t0
+        for t in clients:
+            t.join(timeout=30)
+        # All four clients got error frames, not hung sockets; the two
+        # undispatched items were dropped at the fence, so shutdown is
+        # bounded by one in-flight item (4s), not the whole batch (8s).
+        assert not oks
+        assert sorted(errors) == [0.0, 1.0, 2.0, 3.0]
+        assert all("abort" in msg or "shutting down" in msg
+                   for msg in errors.values())
+        assert stop_elapsed < 7.0
 
 
 def test_service_thread_lifecycle_guards(tmp_path):

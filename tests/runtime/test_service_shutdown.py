@@ -29,6 +29,8 @@ from repro.runtime.client import ServiceClient
 from repro.runtime.counters import monotonic
 from repro.runtime.service import MeshService, ServiceError, ServiceThread
 
+from .test_service_soak import _suspended
+
 
 def _buffers(tag, n=16):
     return {"x": np.full(n, float(tag)), "tag": np.asarray([float(tag)])}
@@ -156,39 +158,40 @@ def test_respawned_worker_does_not_inherit_listening_socket(tmp_path):
     the replacement closes it at startup — otherwise the duplicate
     keeps the accept() endpoint alive past service shutdown.
     """
-    svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="processes",
-                      n_ranks=2, work_fn=_echo_item, cost_fn=_unit_cost)
-    thread = ServiceThread(svc)
-    try:
-        endpoint = thread.start()
-        with ServiceClient(endpoint) as client:
-            client.submit_packed(_buffers(1.0))
-        assert svc._server is not None and svc._server.sockets
-        inode = os.fstat(svc._server.sockets[0].fileno()).st_ino
-        pool = svc._backend._pool
-        assert pool is not None and pool.n_workers() >= 2
-        # Sanity: warm workers forked before bind never saw the fd.
-        for handle in pool._workers.values():
-            assert not _fds_linked_to_socket(handle.proc.pid, inode)
-        # The daemon registered the listening fd with the backend.
-        assert pool.exclude_fds, "listening fd was not registered"
-        # Positive control: a worker forked after bind WITHOUT the
-        # exclusion inherits the listening socket — the hazard is real
-        # and the /proc scan detects it.
-        pool.exclude_fds = ()
-        leaky = pool._spawn()
-        time.sleep(0.2)  # let the child reach its recv loop
-        assert _fds_linked_to_socket(leaky.proc.pid, inode), \
-            "control worker should inherit the listening fd"
-        # Restore the contract and respawn: the replacement closes the
-        # fd at startup.
-        pool.exclude_fds = tuple(svc._backend._exclude_fds)
-        clean = pool._spawn()
-        assert _wait_for_clean_fds(clean.proc.pid, inode) == []
-        # The service still works with the extra workers around.
-        with ServiceClient(endpoint) as client:
-            _kind, blob = client.submit_packed(_buffers(2.0))
-        result = serde.bytes_to_buffers(blob)
-        np.testing.assert_allclose(result["y"], np.full(16, 4.0))
-    finally:
-        thread.stop()
+    with _suspended():
+        svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="processes",
+                          n_ranks=2, work_fn=_echo_item, cost_fn=_unit_cost)
+        thread = ServiceThread(svc)
+        try:
+            endpoint = thread.start()
+            with ServiceClient(endpoint) as client:
+                client.submit_packed(_buffers(1.0))
+            assert svc._server is not None and svc._server.sockets
+            inode = os.fstat(svc._server.sockets[0].fileno()).st_ino
+            pool = svc._backend._pool
+            assert pool is not None and pool.n_workers() >= 2
+            # Sanity: warm workers forked before bind never saw the fd.
+            for handle in pool._workers.values():
+                assert not _fds_linked_to_socket(handle.proc.pid, inode)
+            # The daemon registered the listening fd with the backend.
+            assert pool.exclude_fds, "listening fd was not registered"
+            # Positive control: a worker forked after bind WITHOUT the
+            # exclusion inherits the listening socket — the hazard is real
+            # and the /proc scan detects it.
+            pool.exclude_fds = ()
+            leaky = pool._spawn()
+            time.sleep(0.2)  # let the child reach its recv loop
+            assert _fds_linked_to_socket(leaky.proc.pid, inode), \
+                "control worker should inherit the listening fd"
+            # Restore the contract and respawn: the replacement closes the
+            # fd at startup.
+            pool.exclude_fds = tuple(svc._backend._exclude_fds)
+            clean = pool._spawn()
+            assert _wait_for_clean_fds(clean.proc.pid, inode) == []
+            # The service still works with the extra workers around.
+            with ServiceClient(endpoint) as client:
+                _kind, blob = client.submit_packed(_buffers(2.0))
+            result = serde.bytes_to_buffers(blob)
+            np.testing.assert_allclose(result["y"], np.full(16, 4.0))
+        finally:
+            thread.stop()

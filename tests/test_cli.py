@@ -2,12 +2,14 @@
 serve/submit service subcommands."""
 
 import json
+import os
 import threading
 import time
 
 import pytest
 
 from repro.cli import build_parser, build_serve_parser, build_submit_parser, main
+from repro.lint import tsan
 from repro.runtime import executor
 
 
@@ -39,6 +41,20 @@ class TestBackendFlags:
         err = capsys.readouterr().err
         assert "--sanitize instruments shared-memory backends only" in err
         assert "--backend threads" in err
+
+    def test_sanitize_leaves_process_state_as_found(self, capsys, tmp_path):
+        """--sanitize instruments this run only: an in-process caller
+        finds the detector and the environment as they were before."""
+        before = (tsan.enabled(), os.environ.get("REPRO_SANITIZE"))
+        rc = main(["--naca", "0012", "--surface-points", "31",
+                   "--max-layers", "6", "--farfield-chords", "5",
+                   "--subdomains", "4", "--backend", "threads",
+                   "--ranks", "2", "--sanitize", "--stats-json",
+                   "-o", str(tmp_path / "m")])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["sanitizer"]["enabled"] is True
+        assert (tsan.enabled(), os.environ.get("REPRO_SANITIZE")) == before
 
     def test_unknown_backend_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
