@@ -12,8 +12,10 @@ Two scenarios on a 10k-point uniform-random workload:
 
 ``triangulate``
     End-to-end ``triangulate()`` (BRIO ordering for both).  With walks
-    already short, this measures the fused insertion path and inlined
-    filtered predicates against the seed's scalar-predicate path.
+    already short, this measures the fast insertion path (the
+    filter-inlined ``locate_fast`` walk and ``carve_cavity_fast`` carve
+    composed by ``insert_point_fast``) against the seed's
+    scalar-predicate path.
 
 ``finalize``
     ``Triangulation.to_mesh`` (vectorized compaction returning views

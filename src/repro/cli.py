@@ -31,7 +31,7 @@ import numpy as np
 from .core.bl_pipeline import BoundaryLayerConfig
 from .core.pipeline import MeshConfig, generate_mesh
 from .geometry.airfoils import naca4, three_element_airfoil
-from .geometry.pslg import PSLG
+from .geometry.pslg import PSLG, InvalidGeometry
 from .io.meshio import read_poly, write_mesh_ascii, write_mesh_npz
 from .lint import RULESET_VERSION, rule_ids, tsan
 from .runtime import executor
@@ -473,6 +473,11 @@ def main(argv=None) -> int:
     try:
         return _mesh_and_report(args, pslg, config, backend, backend_impl,
                                 n_ranks)
+    except InvalidGeometry as exc:
+        # Geometry that loads but cannot be meshed (e.g. crossing body
+        # loops) gets the same one-line exit as geometry that fails to
+        # load.
+        parser.error(f"invalid geometry: {exc}")
     finally:
         if enabled_here:
             tsan.disable()

@@ -23,7 +23,7 @@ from ..delaunay.mesh import TriMesh
 from ..geometry.aabb import segment_extent_box
 from ..geometry.predicates import orient2d
 from ..geometry.primitives import segments_intersect
-from ..geometry.pslg import PSLG
+from ..geometry.pslg import PSLG, InvalidGeometry
 from ..runtime.counters import phase
 from ..sizing.functions import SizingFunction
 from ..sizing.growth import GeometricGrowth, GrowthFunction
@@ -214,11 +214,13 @@ def _simplify_borders(element_rays: Sequence[List[Ray]], *,
                     shrunk.add(key)
         if not progress:
             break
-    # One final check: if crossings persist, the geometry is unusable.
+    # Crossings that survive shrinking come from the body loops
+    # themselves (crossing or nearly touching): the geometry is unusable.
     rings = _border_rings(element_rays)
-    raise RuntimeError(
-        "could not untangle boundary-layer borders after shrinking; "
-        f"rings sizes={[len(r) for r in rings]}"
+    raise InvalidGeometry(
+        "body loops self-intersect or come too close: boundary-layer "
+        "borders still cross after shrinking "
+        f"(ring sizes {[len(r) for r in rings]})"
     )
 
 

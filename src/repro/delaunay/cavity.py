@@ -10,9 +10,19 @@ delegates every insertion-path operation here; :mod:`constrained` and
 :mod:`refine` call the shared helpers directly instead of carrying
 private copies.
 
+There is one fast and one reference version of each operation.  The
+fast walk (:func:`locate_fast`) and the fast carve
+(:func:`carve_cavity_fast`, with :func:`expand_level_batch` for wide
+frontiers) inline the predicates' filter stages; the reference walk and
+carve (:func:`locate_ref`, :func:`carve_cavity_ref`) call the scalar
+robust predicates and serve as the oracle for differential tests.
+:func:`insert_point_fast` composes the fast walk and carve with the
+duplicate check and :func:`retriangulate`; it holds no predicate
+arithmetic of its own.
+
 Bulk insertion (:func:`insert_points`) is one path: points go in one
-at a time through the fused fast path (:func:`insert_point_fast`), so
-the triangulation is a pure function of the points and their order.
+at a time through :func:`insert_point_fast`, so the triangulation is a
+pure function of the points and their order.
 """
 
 from __future__ import annotations
@@ -199,9 +209,16 @@ def locate_ref(tri, p: Tuple[float, float], hint: int) -> int:
     return locate_fallback(tri, p)
 
 
-def locate_fast(tri, p: Tuple[float, float], hint: int) -> int:
-    """Walk with the orientation filter inlined (exact escalation)."""
-    px, py = p
+def locate_fast(tri, px: float, py: float, hint: int
+                ) -> Tuple[int, bool]:
+    """Walk with the orientation filter inlined (exact escalation).
+
+    Returns ``(t, strict)``: ``t`` is a triangle whose closed region
+    contains ``(px, py)`` (a ghost whose closed half-plane does when
+    the point is outside the hull) and ``strict`` says the point is
+    *strictly* inside it, which already implies it lies in ``t``'s
+    open circumdisk.
+    """
     t = walk_start(tri, px, py, hint)
     arr = tri._arr
     tvm = arr.tv
@@ -210,9 +227,17 @@ def locate_fast(tri, p: Tuple[float, float], hint: int) -> int:
     max_steps = 4 * (tri.n_live_triangles + 8)
     steps = 0
     prev = -1
-    lcg = tri._lcg
+    # One pseudo-random starting-edge draw per walk, rotated each step
+    # — enough stochasticity to break degenerate walk cycles (and the
+    # exhaustive fallback guards the rest), without an LCG step per
+    # triangle.
+    lcg = (tri._lcg * 1103515245 + 12345) & 0x7FFFFFFF
+    tri._lcg = lcg
+    k0 = lcg % 3
     n_fast = 0
+    n_exact = 0
     result = -1
+    strict = False
     while steps < max_steps:
         steps += 1
         i3 = 3 * t
@@ -220,51 +245,59 @@ def locate_fast(tri, p: Tuple[float, float], hint: int) -> int:
         a1 = tvm[i3 + 1]
         a2 = tvm[i3 + 2]
         if a0 < 0 or a1 < 0 or a2 < 0:
-            # Ghost triangle: is p in (or on) its half-plane?
+            # Ghost: accept if p is in its closed half-plane, else
+            # continue along the hull.
             g = 0 if a0 < 0 else (1 if a1 < 0 else 2)
-            u = tvm[i3 + _NXT[g]]
-            v = tvm[i3 + _PRV[g]]
-            j = 2 * u
+            j = 2 * tvm[i3 + _NXT[g]]
             ux = pxm[j]
             uy = pxm[j + 1]
-            j = 2 * v
+            j = 2 * tvm[i3 + _PRV[g]]
             vx = pxm[j]
             vy = pxm[j + 1]
             detleft = (ux - px) * (vy - py)
             detright = (uy - py) * (vx - px)
             det = detleft - detright
             detsum = abs(detleft) + abs(detright)
-            if detsum > _CCW_GUARD and (
-                    det > _CCW_ERR * detsum or -det > _CCW_ERR * detsum):  # lint: disable=R1 -- inlined orient2d filter; inconclusive signs escalate below
+            o = 0
+            if detsum > _CCW_GUARD:
+                errbound = _CCW_ERR * detsum
+                if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
+                    o = 1
+                elif -det > errbound:
+                    o = -1
+            if o:
                 n_fast += 1
-                inside = det > 0.0  # lint: disable=R1 -- sign certified by the filter on the line above
             else:
-                tri.stat_orient_exact += 1
-                inside = orient2d((ux, uy), (vx, vy), p) >= 0
-            if inside:
+                n_exact += 1
+                o = orient2d((ux, uy), (vx, vy), (px, py))
+            if o >= 0:
                 result = t
+                strict = o > 0
                 break
             nxt = tnm[i3 + _NXT[g]]  # neighbour across (v, G)
             if nxt == prev:
                 nxt = tnm[i3 + _PRV[g]]
-            prev, t = t, nxt
+            prev = t
+            t = nxt
             continue
+        k0 += 1
+        if k0 > 2:
+            k0 = 0
         moved = False
-        lcg = (lcg * 1103515245 + 12345) & 0x7FFFFFFF
-        k0 = lcg % 3
-        for dk in range(3):
+        interior = True
+        for dk in (0, 1, 2):
             k = k0 + dk
             if k > 2:
                 k -= 3
             nb = tnm[i3 + k]
             if nb == prev:
+                # Entered across this edge, so p is strictly on this
+                # side of it — no need to re-test.
                 continue
-            u = tvm[i3 + _NXT[k]]
-            v = tvm[i3 + _PRV[k]]
-            j = 2 * u
+            j = 2 * tvm[i3 + _NXT[k]]
             ux = pxm[j]
             uy = pxm[j + 1]
-            j = 2 * v
+            j = 2 * tvm[i3 + _PRV[k]]
             vx = pxm[j]
             vy = pxm[j + 1]
             detleft = (ux - px) * (vy - py)
@@ -275,28 +308,33 @@ def locate_fast(tri, p: Tuple[float, float], hint: int) -> int:
                 errbound = _CCW_ERR * detsum
                 if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
                     n_fast += 1
-                    continue          # p weakly left: not through here
+                    continue          # p strictly left: not through here
                 if -det > errbound:
                     n_fast += 1
-                    prev, t = t, nb   # certified right of u->v: cross
+                    prev = t          # certified right of u->v: cross
+                    t = nb
                     moved = True
                     break
-            tri.stat_orient_exact += 1
-            if orient2d((ux, uy), (vx, vy), p) < 0:
-                prev, t = t, nb
+            n_exact += 1
+            o = orient2d((ux, uy), (vx, vy), (px, py))
+            if o < 0:
+                prev = t
+                t = nb
                 moved = True
                 break
+            if o == 0:
+                interior = False
         if not moved:
             result = t
+            strict = interior
             break
-    tri._lcg = lcg
     tri.stat_orient_fast += n_fast
+    tri.stat_orient_exact += n_exact
     tri._note_walk(steps)
-    if result >= 0:
-        tri._last_tri = result
-        return result
-    return locate_fallback(tri, p)
-
+    if result < 0:
+        return locate_fallback(tri, (px, py)), False
+    tri._last_tri = result
+    return result, strict
 
 def locate_fallback(tri, p: Tuple[float, float]) -> int:
     """Exhaustive exact containment scan (adversarial degeneracies)."""
@@ -364,11 +402,12 @@ def carve_cavity_ref(tri, p: Tuple[float, float], t0: int
     return cavity, blocked
 
 
-def carve_cavity_fast(tri, p: Tuple[float, float], t0: int
+def carve_cavity_fast(tri, px: float, py: float, t0: int
                       ) -> Tuple[Set[int], bool]:
     """Level-order circumdisk search with inlined filtered predicates.
 
-    Small frontiers use the scalar filter inline; frontiers of
+    Small frontiers use the scalar filter inline (a cheap certificate
+    first, then the full Shewchuk bound); frontiers of
     :data:`_BATCH_MIN` or more candidates go through one vectorised
     :func:`incircle_batch` call (refinement cavities on graded
     meshes).  Membership decisions are identical to the reference:
@@ -379,323 +418,7 @@ def carve_cavity_fast(tri, p: Tuple[float, float], t0: int
     arr = tri._arr
     tvm = arr.tv
     tnm = arr.tn
-    point = arr.point
-    constraints = tri.constraints
-    px, py = p
-    cavity: Set[int] = {t0}
-    frontier = [t0]
-    blocked = False
-    n_icc_fast = 0
-    while frontier:
-        cand: List[int] = []
-        for t in frontier:
-            i3 = 3 * t
-            for k in range(3):
-                nb = tnm[i3 + k]
-                if nb < 0 or nb in cavity:
-                    continue
-                if constraints:
-                    u = tvm[i3 + _NXT[k]]
-                    v = tvm[i3 + _PRV[k]]
-                    if u >= 0 and v >= 0:
-                        key = (u, v) if u < v else (v, u)
-                        if key in constraints:
-                            blocked = True
-                            continue
-                cand.append(nb)
-        if not cand:
-            break
-        if len(cand) >= _BATCH_MIN:
-            frontier = expand_level_batch(tri, cand, cavity, px, py)
-            continue
-        frontier = []
-        for nb in cand:
-            if nb in cavity:
-                continue  # added via a sibling this level
-            i3 = 3 * nb
-            a = tvm[i3]
-            b = tvm[i3 + 1]
-            c = tvm[i3 + 2]
-            if a < 0 or b < 0 or c < 0:
-                if tri._in_disk_fast(nb, px, py):
-                    cavity.add(nb)
-                    frontier.append(nb)
-                continue
-            # Inlined incircle filter (matches the scalar predicate's
-            # first stage); only inconclusive signs leave this loop.
-            ax, ay = point(a)
-            bx, by = point(b)
-            cx, cy = point(c)
-            adx = ax - px
-            ady = ay - py
-            bdx = bx - px
-            bdy = by - py
-            cdx = cx - px
-            cdy = cy - py
-            bdxcdy = bdx * cdy
-            cdxbdy = cdx * bdy
-            cdxady = cdx * ady
-            adxcdy = adx * cdy
-            adxbdy = adx * bdy
-            bdxady = bdx * ady
-            alift = adx * adx + ady * ady
-            blift = bdx * bdx + bdy * bdy
-            clift = cdx * cdx + cdy * cdy
-            det = (alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy)
-                   + clift * (adxbdy - bdxady))
-            permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
-                         + (abs(cdxady) + abs(adxcdy)) * blift
-                         + (abs(adxbdy) + abs(bdxady)) * clift)
-            if permanent > _ICC_GUARD:
-                errbound = _ICC_ERR * permanent
-                if det > errbound:
-                    n_icc_fast += 1
-                    cavity.add(nb)
-                    frontier.append(nb)
-                    continue
-                if -det > errbound:
-                    n_icc_fast += 1
-                    continue
-            tri.stat_incircle_exact += 1
-            if incircle(point(a), point(b), point(c), (px, py)) > 0:
-                cavity.add(nb)
-                frontier.append(nb)
-    tri.stat_incircle_fast += n_icc_fast
-    return cavity, blocked
-
-
-def expand_level_batch(tri, cand: List[int], cavity: Set[int],
-                       px: float, py: float) -> List[int]:
-    """Batched in-disk test of one BFS level; returns accepted tris.
-
-    Vectorised over the SoA buffers: one fancy-indexed gather pulls
-    the candidate vertex rows and their coordinates straight out of
-    ``MeshArrays`` (no per-triangle Python coordinate staging), then
-    a single :func:`incircle_batch` call decides the level.  Ghost
-    candidates keep the scalar half-plane test.
-    """
-    arr = tri._arr
-    idx = np.asarray(cand, dtype=np.int64)
-    rows = arr.tri_v[idx]                       # (m, 3) gather
-    ghost = rows.min(axis=1) < 0
-    nxt: List[int] = []
-    if ghost.any():
-        for nb in idx[ghost].tolist():
-            if nb not in cavity and tri._in_disk_fast(nb, px, py):
-                cavity.add(nb)
-                nxt.append(nb)
-    real = ~ghost
-    m = int(real.sum())
-    if m:
-        reals = idx[real].tolist()
-        abc = arr.pts[rows[real]]               # (m, 3, 2) gather
-        before = batch_exact_counts()["incircle"]
-        signs = incircle_batch(abc[:, 0], abc[:, 1], abc[:, 2],
-                               np.array((px, py)))
-        n_exact = batch_exact_counts()["incircle"] - before
-        tri.stat_batch_calls += 1
-        tri.stat_batch_entries += m
-        tri.stat_incircle_exact += n_exact
-        tri.stat_incircle_fast += m - n_exact
-        for nb, s in zip(reals, signs.tolist()):
-            if s > 0 and nb not in cavity:
-                cavity.add(nb)
-                nxt.append(nb)
-    return nxt
-
-
-# ----------------------------------------------------------------------
-# Scalar fused insertion (walk + dup check + carve + retriangulate)
-# ----------------------------------------------------------------------
-def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
-    """Fused fast-path insertion: walk, duplicate check, cavity carve
-    and retriangulation in one frame with every predicate's filter
-    stage inlined.
-
-    Decision-for-decision equivalent to ``locate`` + ``find_vertex_at``
-    + ``_insert_into_cavity`` — certified filter signs are exact signs,
-    and inconclusive ones escalate to the exact predicates.  Returns
-    the new vertex id, or ``-2 - v`` when the point duplicates existing
-    vertex ``v``.
-    """
-    arr = tri._arr
-    # Reserve-before-alias: the single appended point must not force
-    # a reallocation while the flat views below are live (triangle
-    # growth is reserved inside retriangulate, which re-aliases).
-    arr.reserve_points(1)
-    tvm = arr.tv
-    tnm = arr.tn
     pxm = arr.px
-    # ---- walking point location (inlined orientation filter) ----
-    t = (hint if 0 <= hint < arr.n_tris and tvm[3 * hint] != DEAD
-         else -1)
-    if t < 0:
-        if tri._grid is not None and tri._walk_ema > _GRID_EMA_USE:
-            t = tri._grid_start(px, py)
-        if t < 0:
-            t = tri._last_tri
-        if t < 0 or tvm[3 * t] == DEAD:
-            t = next(iter(tri.live_triangles()))
-    i3 = 3 * t
-    if tvm[i3] < 0 or tvm[i3 + 1] < 0 or tvm[i3 + 2] < 0:
-        # Ghost start: step across its real edge into the hull.
-        g = (0 if tvm[i3] < 0 else (1 if tvm[i3 + 1] < 0 else 2))
-        nb = tnm[i3 + g]
-        if nb >= 0:
-            t = nb
-    max_steps = 4 * (tri.n_live_triangles + 8)
-    steps = 0
-    prev = -1
-    # One pseudo-random starting-edge draw per insertion, rotated each
-    # step — enough stochasticity to break degenerate walk cycles
-    # (and the exhaustive fallback guards the rest), without an LCG
-    # step per triangle.
-    lcg = (tri._lcg * 1103515245 + 12345) & 0x7FFFFFFF
-    tri._lcg = lcg
-    k0 = lcg % 3
-    n_ofast = 0
-    n_oexact = 0
-    t0 = -1
-    # certified == p is *strictly* inside t0 (strictly inside a ghost
-    # half-plane), which already implies cavity membership — the
-    # circumdisk pre-check can be skipped.
-    certified = False
-    while steps < max_steps:
-        steps += 1
-        i3 = 3 * t
-        a0 = tvm[i3]
-        a1 = tvm[i3 + 1]
-        a2 = tvm[i3 + 2]
-        if a0 < 0 or a1 < 0 or a2 < 0:
-            # Ghost: accept if p is in its closed half-plane, else
-            # continue along the hull.
-            g = 0 if a0 < 0 else (1 if a1 < 0 else 2)
-            j = 2 * tvm[i3 + _NXT[g]]
-            ux = pxm[j]
-            uy = pxm[j + 1]
-            j = 2 * tvm[i3 + _PRV[g]]
-            vx = pxm[j]
-            vy = pxm[j + 1]
-            detleft = (ux - px) * (vy - py)
-            detright = (uy - py) * (vx - px)
-            det = detleft - detright
-            detsum = abs(detleft) + abs(detright)
-            if detsum > _CCW_GUARD:
-                errbound = _CCW_ERR * detsum
-                if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
-                    n_ofast += 1
-                    t0 = t
-                    certified = True
-                    break
-                if -det > errbound:
-                    n_ofast += 1
-                    nxt = tnm[i3 + _NXT[g]]
-                    if nxt == prev:
-                        nxt = tnm[i3 + _PRV[g]]
-                    prev = t
-                    t = nxt
-                    continue
-            n_oexact += 1
-            o = orient2d((ux, uy), (vx, vy), (px, py))
-            if o > 0:
-                t0 = t
-                certified = True
-                break
-            if o == 0:
-                t0 = t
-                break
-            nxt = tnm[i3 + _NXT[g]]
-            if nxt == prev:
-                nxt = tnm[i3 + _PRV[g]]
-            prev = t
-            t = nxt
-            continue
-        k0 += 1
-        if k0 > 2:
-            k0 = 0
-        moved = False
-        strict = True
-        for dk in (0, 1, 2):
-            k = k0 + dk
-            if k > 2:
-                k -= 3
-            nb = tnm[i3 + k]
-            if nb == prev:
-                # Entered across this edge, so p is strictly on this
-                # side of it — no need to re-test.
-                continue
-            j = 2 * tvm[i3 + _NXT[k]]
-            ux = pxm[j]
-            uy = pxm[j + 1]
-            j = 2 * tvm[i3 + _PRV[k]]
-            vx = pxm[j]
-            vy = pxm[j + 1]
-            detleft = (ux - px) * (vy - py)
-            detright = (uy - py) * (vx - px)
-            det = detleft - detright
-            detsum = abs(detleft) + abs(detright)
-            if detsum > _CCW_GUARD:
-                errbound = _CCW_ERR * detsum
-                if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
-                    n_ofast += 1
-                    continue
-                if -det > errbound:
-                    n_ofast += 1
-                    prev = t
-                    t = nb
-                    moved = True
-                    break
-            n_oexact += 1
-            o = orient2d((ux, uy), (vx, vy), (px, py))
-            if o < 0:
-                prev = t
-                t = nb
-                moved = True
-                break
-            if o == 0:
-                strict = False
-        if not moved:
-            t0 = t
-            certified = strict
-            break
-    tri.stat_orient_fast += n_ofast
-    tri.stat_orient_exact += n_oexact
-    tri._note_walk(steps)
-    if t0 < 0:
-        t0 = locate_fallback(tri, (px, py))
-        certified = False
-    # ---- duplicate check (vertices of the containing triangle) ----
-    i3 = 3 * t0
-    for vtx in (tvm[i3], tvm[i3 + 1], tvm[i3 + 2]):
-        if vtx >= 0:
-            j = 2 * vtx
-            if pxm[j] == px and pxm[j + 1] == py:
-                tri._last_tri = t0
-                tri.last_created = []
-                tri.last_removed = []
-                return -2 - vtx
-    # ---- new vertex (capacity reserved at entry) ----
-    vid = arr.n_pts
-    j = 2 * vid
-    pxm[j] = px
-    pxm[j + 1] = py
-    arr.vt[vid] = -1
-    arr.n_pts = vid + 1
-    tri.stat_inserts += 1
-    if not certified and not tri._in_disk_fast(t0, px, py):
-        # p on the boundary of t0: some adjacent circumdisk holds it.
-        found = -1
-        for k in (0, 1, 2):
-            nb = tnm[3 * t0 + k]
-            if nb >= 0 and tri._in_disk_fast(nb, px, py):
-                found = nb
-                break
-        if found < 0:
-            raise TriangulationError(
-                f"insertion point {(px, py)} in no circumdisk (duplicate?)"
-            )
-        t0 = found
-    # ---- cavity carve (level BFS, inlined incircle filter) ----
     constraints = tri.constraints
     cavity: Set[int] = {t0}
     # seen = cavity plus rejected candidates, so a rejected triangle
@@ -703,8 +426,8 @@ def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
     seen: Set[int] = {t0}
     frontier = [t0]
     blocked = False
-    n_ifast = 0
-    n_iexact = 0
+    n_fast = 0
+    n_exact = 0
     while frontier:
         cand: List[int] = []
         if constraints:
@@ -798,13 +521,13 @@ def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
             s = alift + blift + clift
             if s > _ICC_S_GUARD:
                 cheap = _ICC_CHEAP * s * s
-                if det > cheap:  # lint: disable=R1 -- inlined incircle cheap certificate; full filter + exact below
-                    n_ifast += 1
+                if det > cheap:
+                    n_fast += 1
                     cavity.add(nb)
                     frontier.append(nb)
                     continue
                 if -det > cheap:
-                    n_ifast += 1
+                    n_fast += 1
                     continue
             # Cheap certificate inconclusive: full Shewchuk filter.
             permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
@@ -812,24 +535,88 @@ def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
                          + (abs(adxbdy) + abs(bdxady)) * clift)
             if permanent > _ICC_GUARD:
                 errbound = _ICC_ERR * permanent
-                if det > errbound:  # lint: disable=R1 -- inlined incircle Shewchuk filter; exact escalation below
-                    n_ifast += 1
+                if det > errbound:
+                    n_fast += 1
                     cavity.add(nb)
                     frontier.append(nb)
                     continue
                 if -det > errbound:
-                    n_ifast += 1
+                    n_fast += 1
                     continue
-            n_iexact += 1
+            n_exact += 1
             if incircle((pax, pay), (pbx, pby), (pcx, pcy),
                         (px, py)) > 0:
                 cavity.add(nb)
                 frontier.append(nb)
-    tri.stat_incircle_fast += n_ifast
-    tri.stat_incircle_exact += n_iexact
-    retriangulate(tri, vid, cavity, t0, blocked)
-    return vid
+    tri.stat_incircle_fast += n_fast
+    tri.stat_incircle_exact += n_exact
+    return cavity, blocked
 
+def expand_level_batch(tri, cand: List[int], cavity: Set[int],
+                       px: float, py: float) -> List[int]:
+    """Batched in-disk test of one BFS level; returns accepted tris.
+
+    Vectorised over the SoA buffers: one fancy-indexed gather pulls
+    the candidate vertex rows and their coordinates straight out of
+    ``MeshArrays`` (no per-triangle Python coordinate staging), then
+    a single :func:`incircle_batch` call decides the level.  Ghost
+    candidates keep the scalar half-plane test.
+    """
+    arr = tri._arr
+    idx = np.asarray(cand, dtype=np.int64)
+    rows = arr.tri_v[idx]                       # (m, 3) gather
+    ghost = rows.min(axis=1) < 0
+    nxt: List[int] = []
+    if ghost.any():
+        for nb in idx[ghost].tolist():
+            if nb not in cavity and tri._in_disk_fast(nb, px, py):
+                cavity.add(nb)
+                nxt.append(nb)
+    real = ~ghost
+    m = int(real.sum())
+    if m:
+        reals = idx[real].tolist()
+        abc = arr.pts[rows[real]]               # (m, 3, 2) gather
+        before = batch_exact_counts()["incircle"]
+        signs = incircle_batch(abc[:, 0], abc[:, 1], abc[:, 2],
+                               np.array((px, py)))
+        n_exact = batch_exact_counts()["incircle"] - before
+        tri.stat_batch_calls += 1
+        tri.stat_batch_entries += m
+        tri.stat_incircle_exact += n_exact
+        tri.stat_incircle_fast += m - n_exact
+        for nb, s in zip(reals, signs.tolist()):
+            if s > 0 and nb not in cavity:
+                cavity.add(nb)
+                nxt.append(nb)
+    return nxt
+
+
+# ----------------------------------------------------------------------
+# Fast insertion (walk + duplicate check + carve + retriangulate)
+# ----------------------------------------------------------------------
+def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
+    """Fast-path insertion: :func:`locate_fast`, the duplicate check,
+    then ``Triangulation._insert_into_cavity`` (boundary fix-up,
+    :func:`carve_cavity_fast` and :func:`retriangulate`).
+
+    Decision-for-decision equivalent to the reference path — certified
+    filter signs are exact signs, and inconclusive ones escalate to the
+    exact predicates.  Returns the new vertex id, or ``-2 - v`` when
+    the point duplicates existing vertex ``v``.
+    """
+    t0, strict = locate_fast(tri, px, py, hint)
+    dup = tri.find_vertex_at((px, py), t0)
+    if dup is not None:
+        tri.last_created = []
+        tri.last_removed = []
+        return -2 - dup
+    vid = tri._arr.new_point(px, py)
+    tri.stat_inserts += 1
+    # A strictly contained point is already in t0's open circumdisk,
+    # so the boundary fix-up is skipped.
+    tri._insert_into_cavity(vid, t0, strict)
+    return vid
 
 # ----------------------------------------------------------------------
 # Retriangulation
@@ -1051,12 +838,12 @@ def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
 # ----------------------------------------------------------------------
 def insert_points(tri, points: np.ndarray,
                   order: Sequence[int]) -> Dict[int, int]:
-    """Insert ``points`` one at a time in ``order`` through the fused
-    fast path; returns the ``input index -> kernel vertex id`` map
+    """Insert ``points`` one at a time in ``order`` through the fast
+    path; returns the ``input index -> kernel vertex id`` map
     (duplicate inputs map to the existing vertex).
 
     Per-point wrapper insertions run until the first real triangle
-    exists, then the fused :func:`insert_point_fast` takes over (or the
+    exists, then :func:`insert_point_fast` takes over (or the
     wrapper throughout for ``fast_predicates=False`` kernels).
     """
     coords = (points.tolist() if isinstance(points, np.ndarray)

@@ -454,16 +454,18 @@ class Triangulation:
         """Return a triangle whose closed region contains ``p``.
 
         For ``p`` outside the hull this is a ghost triangle whose
-        half-plane contains it.  Uses a straight walk with pseudo-random
-        edge tie-breaking, seeded from ``hint``, the last touched
-        triangle, or (when walks have been running long) the vertex
-        grid; falls back to exhaustive scan after a step cap (can only
-        trigger on adversarial degeneracies).
+        half-plane contains it.  Uses a straight walk seeded from
+        ``hint``, the last touched triangle, or (when walks have been
+        running long) the vertex grid, with pseudo-random edge
+        tie-breaking: the fast walk draws its LCG once per walk and
+        rotates the starting edge each step, the reference walk draws
+        once per step.  Falls back to exhaustive scan after a step cap
+        (can only trigger on adversarial degeneracies).
         """
         if self.n_live_triangles == 0:
             raise TriangulationError("empty triangulation")
         if self._fast:
-            return locate_fast(self, p, hint)
+            return locate_fast(self, p[0], p[1], hint)[0]
         return locate_ref(self, p, hint)
 
     def find_vertex_at(self, p: Tuple[float, float], t: int) -> Optional[int]:
@@ -497,7 +499,8 @@ class Triangulation:
             return self._bootstrap_insert(p, on_duplicate)
 
         if self._fast:
-            # Fused walk + carve; ``-2 - v`` flags a duplicate of ``v``.
+            # Fast walk, duplicate check and carve; ``-2 - v`` flags a
+            # duplicate of ``v``.
             r = insert_point_fast(self, p[0], p[1], hint)
             if r >= 0:
                 return r
@@ -579,11 +582,15 @@ class Triangulation:
     # ------------------------------------------------------------------
     # Cavity carving
     # ------------------------------------------------------------------
-    def _insert_into_cavity(self, vid: int, t0: int) -> None:
+    def _insert_into_cavity(self, vid: int, t0: int,
+                            strict: bool = False) -> None:
         """Bowyer–Watson: carve the cavity of circumdisks containing the new
-        point and re-fan from it.  Never crosses constrained edges."""
+        point and re-fan from it.  Never crosses constrained edges.
+
+        ``strict`` says the point lies strictly inside ``t0`` (so inside
+        its open circumdisk), which skips the boundary check."""
         p = self._arr.point(vid)
-        if not self._in_disk_any(t0, p):
+        if not strict and not self._in_disk_any(t0, p):
             # locate returned a triangle whose closed region holds p but p
             # is on its boundary; at least one adjacent triangle's open
             # disk must contain p. Search neighbours.
@@ -600,7 +607,7 @@ class Triangulation:
             t0 = found
 
         if self._fast:
-            cavity, blocked = carve_cavity_fast(self, p, t0)
+            cavity, blocked = carve_cavity_fast(self, p[0], p[1], t0)
         else:
             cavity, blocked = carve_cavity_ref(self, p, t0)
         retriangulate(self, vid, cavity, t0, blocked)

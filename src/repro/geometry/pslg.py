@@ -31,7 +31,12 @@ from .aabb import AABB
 from .predicates import exact_eq
 from .primitives import polygon_area
 
-__all__ = ["Loop", "PSLG"]
+__all__ = ["InvalidGeometry", "Loop", "PSLG"]
+
+
+class InvalidGeometry(ValueError):
+    """Input geometry the mesher cannot mesh, such as a loop with a
+    zero-length edge or body loops that cross each other."""
 
 
 @dataclass
@@ -96,7 +101,7 @@ class PSLG:
                 u = int(lp.indices[k])
                 v = int(lp.indices[(k + 1) % len(lp.indices)])
                 x, y = self.points[u].tolist()
-                raise ValueError(
+                raise InvalidGeometry(
                     f"loop {lp.name or i!r} has a zero-length edge: "
                     f"vertices {u} and {v} coincide at ({x!r}, {y!r})")
             if polygon_area(pts) < 0:

@@ -1,7 +1,9 @@
 """Invariant harness for the overhauled Delaunay kernel.
 
-Every optimisation in the fused fast path (inlined filtered predicates,
-certified walks, batched cavity expansion, grid-seeded location) must be
+Every optimisation in the fast insertion path (the filter-inlined walk
+``locate_fast`` with its strict-containment flag, the filter-inlined
+carve ``carve_cavity_fast`` with its cheap incircle certificate and
+batched frontier expansion, grid-seeded location) must be
 *behaviour-preserving*.  This module checks the mathematical invariants
 with exact arithmetic:
 
@@ -16,8 +18,10 @@ with exact arithmetic:
 * **Structural integrity** — the kernel's own adjacency audit.
 
 The same harness runs over uniform-random clouds, degenerate (cocircular
-/ collinear-heavy) inputs, and the fuzz PSLG corpus; a differential test
-pins the fast path to the scalar reference path triangle-for-triangle.
+/ collinear-heavy) inputs, and the fuzz PSLG corpus; differential tests
+pin the fast path to the scalar reference path triangle-for-triangle,
+for bulk ``triangulate`` and per-point ``insert_point`` alike, and check
+that the fast walk's answer contains its query point.
 """
 
 import math
@@ -109,6 +113,67 @@ def assert_invariants(tri: Triangulation, *, exhaustive: bool = False
         assert_globally_delaunay(tri)
 
 
+def insert_each(points: np.ndarray, *, fast_predicates: bool
+                ) -> Triangulation:
+    """Per-point ``insert_point`` in input order (no BRIO shuffle), so
+    a collinear prefix reaches the bootstrap re-insert path."""
+    tri = Triangulation(fast_predicates=fast_predicates)
+    for x, y in points.tolist():
+        tri.insert_point(x, y)
+    return tri
+
+
+def closed_region_contains(tri: Triangulation, t: int, q) -> bool:
+    """Exact test: ``q`` lies in real triangle ``t`` (boundary included)
+    or in the closed half-plane of ghost ``t``."""
+    point = tri._arr.point
+    if tri.is_ghost(t):
+        u, v = tri.ghost_edge(t)
+        return orient2d(point(u), point(v), q) >= 0
+    tv = tri._arr.triangle(t)
+    return all(orient2d(point(tv[k - 2]), point(tv[k - 1]), q) >= 0
+               for k in range(3))
+
+
+def lattice(n: int) -> np.ndarray:
+    xs, ys = np.meshgrid(np.arange(float(n)), np.arange(float(n)))
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
+def lattice_with_midpoints(n: int) -> np.ndarray:
+    """The lattice plus the midpoint of every axis-aligned lattice edge:
+    each midpoint lands exactly on an existing edge."""
+    grid = lattice(n)
+    horiz = grid[grid[:, 0] < n - 1] + [0.5, 0.0]
+    vert = grid[grid[:, 1] < n - 1] + [0.0, 0.5]
+    return np.vstack([grid, horiz, vert])
+
+
+def collinear_prefix_then_cloud() -> np.ndarray:
+    line = np.column_stack([np.arange(20.0) / 19.0, np.full(20, 0.5)])
+    return np.vstack([line, np.random.default_rng(10).random((200, 2))])
+
+
+def ring_with_centre(n: int = 40) -> np.ndarray:
+    ang = 2 * math.pi * np.arange(n) / n
+    ring = np.column_stack([np.cos(ang), np.sin(ang)])
+    return np.vstack([ring, [[0.0, 0.0]]])
+
+
+#: Differential inputs: uniform clouds (by seed) plus the degenerate
+#: configurations that reach the walk's on-edge and the carve's
+#: exact-tie and bootstrap paths.
+DIFFERENTIAL_INPUTS = {
+    "5": lambda: np.random.default_rng(5).random((250, 2)),
+    "6": lambda: np.random.default_rng(6).random((250, 2)),
+    "7": lambda: np.random.default_rng(7).random((250, 2)),
+    "grid": lambda: lattice(12),
+    "grid_midpoints": lambda: lattice_with_midpoints(12),
+    "collinear_prefix": collinear_prefix_then_cloud,
+    "ring_centre": ring_with_centre,
+}
+
+
 def live_rows(tri: Triangulation):
     """Vertex rows of every live slot (ghosts included), in slot order."""
     arr = tri._arr
@@ -144,14 +209,45 @@ class TestRandomClouds:
         pts = np.random.default_rng(seed).random((n, 2))
         assert_invariants(triangulate(pts))
 
-    @pytest.mark.parametrize("seed", [5, 6, 7])
-    def test_fast_matches_reference(self, seed):
+    @pytest.mark.parametrize("case", list(DIFFERENTIAL_INPUTS))
+    def test_fast_matches_reference(self, case):
         """Differential: fast-path triangulation == scalar-reference
-        triangulation as a set of triangles (same kernel vertex ids)."""
-        pts = np.random.default_rng(seed).random((250, 2))
+        triangulation as a set of triangles, both for bulk
+        ``triangulate`` (BRIO order) and for per-point ``insert_point``
+        in input order."""
+        pts = DIFFERENTIAL_INPUTS[case]()
         fast = triangulate(pts, fast_predicates=True)
         ref = triangulate(pts, fast_predicates=False)
         assert canonical_triangles(fast) == canonical_triangles(ref)
+        fast = insert_each(pts, fast_predicates=True)
+        ref = insert_each(pts, fast_predicates=False)
+        assert canonical_triangles(fast) == canonical_triangles(ref)
+
+    @pytest.mark.parametrize("case", ["cloud", "grid"])
+    def test_fast_locate_contains_query(self, case):
+        """The fast walk behind ``Triangulation.locate`` answers every
+        query (vertices, edge midpoints, points off the hull) with a
+        triangle or ghost whose closed region contains it, from any
+        starting hint."""
+        if case == "cloud":
+            pts = np.random.default_rng(9).random((200, 2))
+        else:
+            pts = lattice(9) / 8.0
+        tri = triangulate(pts)
+        arr = tri._arr
+        point = arr.point
+        queries = [point(v) for v in range(arr.n_pts)]
+        for t in real_triangles(tri):
+            tv = arr.triangle(t)
+            for k in range(3):
+                (ux, uy), (vx, vy) = point(tv[k - 2]), point(tv[k - 1])
+                queries.append(((ux + vx) / 2, (uy + vy) / 2))
+        queries += [(-1.0, 0.5), (2.0, 0.5), (0.5, -1.0), (0.5, 2.0),
+                    (-1.0, -1.0), (3.0, 3.0), (0.5, -1e-12), (1.5, 0.0)]
+        hints = [-1] + sorted(tri.live_triangles())
+        for i, q in enumerate(queries):
+            t = tri.locate(q, hint=hints[i % len(hints)])
+            assert closed_region_contains(tri, t, q), (q, t)
 
     def test_clustered_and_duplicate_points(self):
         rng = np.random.default_rng(8)

@@ -97,6 +97,26 @@ class TestGeometryErrors:
         assert "zero-length edge" in last
         assert "vertices 1 and 2" in last
 
+    def test_self_intersecting_poly_loop_is_one_line_error(self, capsys,
+                                                          tmp_path):
+        """A "bowtie" loop 0,0 -> 1,1 -> 1,0 -> 0,1 crosses itself: it
+        loads, but meshing must exit 2 with a parser error, no
+        traceback."""
+        poly = tmp_path / "bowtie.poly"
+        poly.write_text(
+            "4 2 0 0\n"
+            "1 0 0\n2 1 1\n3 1 0\n4 0 1\n"
+            "4 0\n1 1 2\n2 2 3\n3 3 4\n4 4 1\n"
+            "0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--poly", str(poly), "-o", str(tmp_path / "m")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("repro-mesh: error: invalid geometry:")
+        assert "self-intersect" in last
+
 
 class TestAdaptFlags:
     def test_adapt_defaults_parse(self):
